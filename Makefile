@@ -94,13 +94,15 @@ load:
 	$(GO) run ./cmd/fixload -url $(LOAD_URL) -rps $(LOAD_RPS) \
 		-duration $(LOAD_DURATION) $(if $(LOAD_SLO),-slo '$(LOAD_SLO)') $(LOAD_FLAGS)
 
-# Short fuzzing pass over the hardened decoders and the HTTP surface.
+# Short fuzzing pass over the hardened decoders, the stream engines
+# (differential against the in-memory repair) and the HTTP surface.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/ruleio/
 	$(GO) test -fuzz=FuzzUnmarshalJSON -fuzztime=30s ./internal/ruleio/
 	$(GO) test -fuzz=FuzzRead -fuzztime=30s ./internal/store/
 	$(GO) test -fuzz=FuzzReadColumnar -fuzztime=30s ./internal/store/
 	$(GO) test -fuzz=FuzzCSVChunk -fuzztime=30s ./internal/store/
+	$(GO) test -run '^$$' -fuzz=FuzzStreamMatchesReference -fuzztime=30s ./internal/repair/
 	$(GO) test -run '^$$' -fuzz=FuzzHandleRepairCSV -fuzztime=30s ./internal/server/
 	$(GO) test -run '^$$' -fuzz=FuzzHandleRepairJSON -fuzztime=30s ./internal/server/
 	$(GO) test -run '^$$' -fuzz=FuzzTenantRouting -fuzztime=30s ./internal/server/

@@ -258,10 +258,10 @@ func BenchmarkCodedRepairTuple(b *testing.B) {
 	})
 }
 
-// BenchmarkStreamRepairHosp measures the streaming repair paths over the
-// dirty hosp relation rendered as CSV: the sequential loop and the
-// pipelined parallel engine (workers = GOMAXPROCS). On a multi-core host
-// the parallel rows should track core count; on one core they should tie.
+// BenchmarkStreamRepairHosp measures Repairer.Stream over the dirty hosp
+// relation rendered as CSV: the sequential loop (Workers: 1) and the
+// pipelined worker pool (workers = GOMAXPROCS). On a multi-core host the
+// parallel row should track core count; on one core they should tie.
 func BenchmarkStreamRepairHosp(b *testing.B) {
 	w := loadHosp(b)
 	rep := repair.NewRepairer(w.rules)
@@ -270,55 +270,24 @@ func BenchmarkStreamRepairHosp(b *testing.B) {
 		b.Fatal(err)
 	}
 	in := csvIn.Bytes()
-	b.Run("lRepair/stream", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := rep.StreamCSV(bytes.NewReader(in), io.Discard, repair.Linear); err != nil {
-				b.Fatal(err)
+	stream := func(in []byte, opts repair.StreamOptions) func(*testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := rep.Stream(context.Background(), bytes.NewReader(in), io.Discard, repair.Linear, opts); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
-	})
-	b.Run("lRepair/stream-parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := rep.StreamCSVParallel(context.Background(), bytes.NewReader(in), io.Discard, repair.Linear, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	// The columnar batch engine over the same CSV bytes: single-core
-	// (Workers: 1, the apples-to-apples comparison against lRepair/stream)
-	// and pipelined.
-	b.Run("lRepair/stream-columnar", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := rep.StreamCSVColumnar(context.Background(), bytes.NewReader(in), io.Discard, repair.Linear,
-				repair.ParallelOptions{Workers: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("lRepair/stream-columnar-parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := rep.StreamCSVColumnar(context.Background(), bytes.NewReader(in), io.Discard, repair.Linear,
-				repair.ParallelOptions{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
+	b.Run("lRepair/stream", stream(in, repair.StreamOptions{Workers: 1}))
+	b.Run("lRepair/stream-parallel", stream(in, repair.StreamOptions{}))
 	// The fcol binary chunk format end to end, no CSV parse at all.
 	var fcolIn bytes.Buffer
 	if err := store.WriteColumnar(&fcolIn, w.dirty, 0); err != nil {
 		b.Fatal(err)
 	}
-	fin := fcolIn.Bytes()
-	b.Run("lRepair/stream-fcol", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := rep.StreamColumnar(context.Background(), bytes.NewReader(fin), io.Discard, repair.Linear,
-				repair.ParallelOptions{Workers: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	b.Run("lRepair/stream-fcol", stream(fcolIn.Bytes(), repair.StreamOptions{In: repair.Fcol, Out: repair.Fcol, Workers: 1}))
 }
 
 // BenchmarkAblationViolationDetection compares the hash-partition FD

@@ -170,6 +170,28 @@ RULE phi3
 	} else if !strings.Contains(string(out), "-workers") {
 		t.Fatalf("-explain -workers error should mention -workers:\n%s", out)
 	}
+
+	// 10. frel is a batch format: -stream refuses a .frel input or output
+	// before reading any input, points at .fcol or batch mode, and leaves
+	// no output file behind.
+	frel := filepath.Join(dir, "travel.frel")
+	run("fixrepair", "-rules", fixed, "-data", data, "-out", frel)
+	for _, tc := range []struct{ in, out string }{
+		{frel, filepath.Join(dir, "from-frel.csv")},
+		{data, filepath.Join(dir, "to-frel.frel")},
+	} {
+		out, err := exec.Command(bin["fixrepair"], "-rules", fixed, "-data", tc.in,
+			"-stream", "-out", tc.out).CombinedOutput()
+		if err == nil {
+			t.Fatalf("-stream %s -> %s should fail, got:\n%s", tc.in, tc.out, out)
+		}
+		if !strings.Contains(string(out), ".fcol") || !strings.Contains(string(out), "batch mode") {
+			t.Errorf("-stream %s -> %s error should point to .fcol or batch mode:\n%s", tc.in, tc.out, out)
+		}
+		if _, err := os.Stat(tc.out); !os.IsNotExist(err) {
+			t.Errorf("-stream %s -> %s left an output file behind (stat err %v)", tc.in, tc.out, err)
+		}
+	}
 }
 
 // TestFixserveLifecycle drives the real fixserve binary end to end:

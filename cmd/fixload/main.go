@@ -8,7 +8,7 @@
 //
 //	fixload -url http://127.0.0.1:8080 -rps 500 -duration 30s
 //	fixload -url http://127.0.0.1:8080 -rps 100:1000:5 -duration 10s \
-//	    -mix repair=4,csv=2,columnar=2,explain=1 -slo p99=50ms,err<0.1%
+//	    -mix repair=4,csv=4,explain=1 -slo p99=50ms,err<0.1%
 //	fixload -url http://127.0.0.1:8080 -tenants acme,globex -hot-frac 0.8 \
 //	    -json load.json
 //
@@ -51,7 +51,7 @@ func run() int {
 		rpsSpec    = flag.String("rps", "100", "target rate: a number, or a ramp start:end:steps (e.g. 100:1000:5)")
 		duration   = flag.Duration("duration", 10*time.Second, "measured duration per rate step")
 		warmup     = flag.Duration("warmup", 2*time.Second, "warmup before the first measured phase (full load, excluded from the report)")
-		mixSpec    = flag.String("mix", "repair=4,csv=2,columnar=2,explain=1", "workload mix: op=weight list over repair, csv, columnar, explain")
+		mixSpec    = flag.String("mix", "repair=4,csv=4,explain=1", "workload mix: op=weight list over repair, csv, explain")
 		dataPath   = flag.String("data", "testdata/hosp/dirty.csv", "CSV relation (header + rows) request bodies are drawn from")
 		dataset    = flag.String("dataset", "", "dataset label for the JSON record (default: data file basename)")
 		batch      = flag.Int("batch", 16, "tuples per /repair request")

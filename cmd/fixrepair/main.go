@@ -1,6 +1,7 @@
 // Command fixrepair repairs a relation with a fixing-rule file using
-// either repairing algorithm of Section 6. Data files are CSV, or the
-// compact binary frel format for *.frel paths.
+// either repairing algorithm of Section 6. Data files are CSV, the compact
+// binary frel format for *.frel paths (batch mode only), or the columnar
+// fcol chunk format for *.fcol paths (-stream only).
 //
 // Usage:
 //
@@ -10,17 +11,16 @@
 //	fixrepair -rules rules.dsl -data dirty.csv -trace           # chase trace of each repair
 //	fixrepair -rules rules.dsl -data big.csv -stream -out fixed.csv
 //	fixrepair -rules rules.dsl -data big.csv -stream -workers 8 -out fixed.csv -log repairs.csv
-//	fixrepair -rules rules.dsl -data big.csv -stream -columnar -out fixed.csv
 //	fixrepair -rules rules.dsl -data big.fcol -stream -out fixed.fcol
 //	fixrepair -revert repairs.csv -data repaired.csv -out restored.csv
 //
-// Streaming CSV-to-CSV with -columnar runs the columnar batch engine:
-// byte-identical output at substantially higher single-core throughput.
-// *.fcol paths stream the columnar chunk format directly (an .fcol input
-// needs an .fcol output; a CSV input with an .fcol output converts while
-// repairing).
+// -stream repairs in constant memory and takes CSV or fcol: an .fcol input
+// needs an .fcol output, and a CSV input with an .fcol output converts
+// while repairing. frel is a batch format; -stream refuses *.frel paths
+// before reading any input. The streamed bytes are identical at any
+// -workers count, and identical to batch mode's for CSV.
 //
-// The data file's header (or frel schema) must match the rule schema.
+// The data file's header (or frel/fcol schema) must match the rule schema.
 // -log writes one changed cell per line (row, attribute, old, new), in
 // batch and streaming mode alike; -revert applies such a log in reverse,
 // restoring the exact pre-repair state. -trace prints each repaired
@@ -35,7 +35,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -56,8 +55,7 @@ func main() {
 		alg         = flag.String("alg", "linear", "repair algorithm: linear (lRepair) or chase (cRepair)")
 		workers     = flag.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 		explain     = flag.Int("explain", -1, "print the repair provenance of this row and exit")
-		stream      = flag.Bool("stream", false, "stream rows through the repairer (constant memory); requires -out")
-		columnar    = flag.Bool("columnar", false, "with -stream: run the columnar batch engine for CSV (identical bytes, higher throughput)")
+		stream      = flag.Bool("stream", false, "stream rows through the repairer (constant memory; CSV or .fcol, not .frel); requires -out")
 		revert      = flag.String("revert", "", "undo a previous repair: apply this -log file in reverse to -data; requires -out")
 		doTrace     = flag.Bool("trace", false, "print a chase trace of each repaired tuple (rule, evidence, old -> new, assured set)")
 		traceSample = flag.Float64("trace-sample", 1, "fraction of rows eligible for -trace, sampled deterministically")
@@ -80,12 +78,8 @@ func main() {
 		}
 		return
 	}
-	if *columnar && !*stream {
-		fmt.Fprintln(os.Stderr, "fixrepair: -columnar requires -stream")
-		os.Exit(2)
-	}
 	tc := traceConfig{enabled: *doTrace, sample: *traceSample, max: *traceMax}
-	if err := run(*rulesPath, *dataPath, *outPath, *logPath, *alg, *workers, *explain, *stream, *columnar, tc); err != nil {
+	if err := run(*rulesPath, *dataPath, *outPath, *logPath, *alg, *workers, *explain, *stream, tc); err != nil {
 		fmt.Fprintln(os.Stderr, "fixrepair:", err)
 		os.Exit(1)
 	}
@@ -111,7 +105,17 @@ func (tc traceConfig) newRecorder(needLog bool) *fixrule.ChaseRecorder {
 	return nil
 }
 
-func run(rulesPath, dataPath, outPath, logPath, alg string, workers, explain int, stream, columnar bool, tc traceConfig) error {
+func run(rulesPath, dataPath, outPath, logPath, alg string, workers, explain int, stream bool, tc traceConfig) error {
+	var opts fixrule.StreamOptions
+	if stream {
+		if outPath == "" {
+			return fmt.Errorf("-stream requires -out")
+		}
+		var err error
+		if opts, err = streamFormats(dataPath, outPath); err != nil {
+			return err
+		}
+	}
 	rs, err := ruleio.LoadFile(rulesPath)
 	if err != nil {
 		return err
@@ -132,9 +136,6 @@ func run(rulesPath, dataPath, outPath, logPath, alg string, workers, explain int
 	}
 
 	if stream {
-		if outPath == "" {
-			return fmt.Errorf("-stream requires -out")
-		}
 		in, err := os.Open(dataPath)
 		if err != nil {
 			return err
@@ -144,46 +145,13 @@ func run(rulesPath, dataPath, outPath, logPath, alg string, workers, explain int
 		if err != nil {
 			return err
 		}
-		// Resolve the worker count the same way the repair engine would, so
-		// the summary line can report what actually ran; exactly one worker
-		// takes the sequential loop (no pipeline overhead to pay).
-		w := workers
-		if w <= 0 {
-			w = runtime.GOMAXPROCS(0)
-		}
 		// The recorder gives streaming the -log support batch mode has: it
 		// captures every change (global row numbers, any worker count), and
 		// rec.Log() is exactly the entries a batch repair would write.
 		rec := tc.newRecorder(logPath != "")
+		opts.Workers, opts.Recorder = workers, rec
 		start := time.Now()
-		var stats *fixrule.StreamStats
-		ctx := context.Background()
-		frel := strings.HasSuffix(dataPath, ".frel") && strings.HasSuffix(outPath, ".frel")
-		fcolIn := strings.HasSuffix(dataPath, ".fcol")
-		fcolOut := strings.HasSuffix(outPath, ".fcol")
-		switch {
-		case fcolIn && !fcolOut:
-			err = fmt.Errorf(".fcol input requires a .fcol -out path")
-		case fcolIn:
-			stats, err = rep.StreamColumnar(ctx, in, out, algorithm,
-				fixrule.StreamOptions{Workers: w, Recorder: rec})
-		case fcolOut:
-			stats, err = rep.StreamCSVToColumnar(ctx, in, out, algorithm,
-				fixrule.StreamOptions{Workers: w, Recorder: rec})
-		case frel && w > 1:
-			stats, err = rep.StreamFrelParallelOpts(ctx, in, out, algorithm,
-				fixrule.StreamOptions{Workers: w, Recorder: rec})
-		case frel:
-			stats, err = rep.StreamFrelTraced(ctx, in, out, algorithm, rec)
-		case columnar:
-			stats, err = rep.StreamCSVColumnar(ctx, in, out, algorithm,
-				fixrule.StreamOptions{Workers: w, Recorder: rec})
-		case w > 1:
-			stats, err = rep.StreamCSVParallelOpts(ctx, in, out, algorithm,
-				fixrule.StreamOptions{Workers: w, Recorder: rec})
-		default:
-			stats, err = rep.StreamCSVTraced(ctx, in, out, algorithm, rec)
-		}
+		stats, err := rep.Stream(context.Background(), in, out, algorithm, opts)
 		if err != nil {
 			out.Close()
 			return err
@@ -248,6 +216,28 @@ func run(rulesPath, dataPath, outPath, logPath, alg string, workers, explain int
 		printTraces(rec, tc)
 	}
 	return nil
+}
+
+// streamFormats maps -stream's file extensions to stream formats. frel is
+// a batch format, so a *.frel path is refused here, before any input is
+// read or output created.
+func streamFormats(dataPath, outPath string) (fixrule.StreamOptions, error) {
+	var opts fixrule.StreamOptions
+	for _, p := range []string{dataPath, outPath} {
+		if strings.HasSuffix(p, ".frel") {
+			return opts, fmt.Errorf("-stream takes CSV or .fcol, not frel (%s): use a .fcol file, or drop -stream to repair frel in batch mode", p)
+		}
+	}
+	if strings.HasSuffix(dataPath, ".fcol") {
+		opts.In = fixrule.Fcol
+	}
+	if strings.HasSuffix(outPath, ".fcol") {
+		opts.Out = fixrule.Fcol
+	}
+	if opts.In == fixrule.Fcol && opts.Out != fixrule.Fcol {
+		return opts, fmt.Errorf(".fcol input requires a .fcol -out path")
+	}
+	return opts, nil
 }
 
 // printTraces renders the recorder's chase traces in the Explain

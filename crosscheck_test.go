@@ -9,6 +9,7 @@ import (
 	"fixrule/internal/core"
 	"fixrule/internal/repair"
 	"fixrule/internal/schema"
+	"fixrule/internal/store"
 )
 
 // TestCompiledRepairMatchesReference cross-checks the compiled repair
@@ -67,12 +68,13 @@ func TestCompiledRepairMatchesReference(t *testing.T) {
 	}
 }
 
-// TestColumnarStreamMatchesRowStream cross-checks the columnar batch
-// engine against the row-at-a-time streaming path on the two benchmark
-// workloads: for each dataset and worker count, StreamCSVColumnar must
-// produce byte-identical output and identical stream statistics. The raw
-// direct-Σ coding, exact-match row filter and zero-copy span emission must
-// all be pure optimisations.
+// TestColumnarStreamMatchesRowStream cross-checks the stream engines
+// against the in-memory reference repair on the two benchmark workloads:
+// for each dataset and worker count, a CSV Stream must produce the bytes
+// schema.WriteCSV renders from RepairRelation's result, with identical
+// statistics, and a CSV-to-fcol Stream must decode to the same rows. The
+// raw direct-Σ coding, exact-match row filter, zero-copy span emission and
+// dictionary translation must all be pure optimisations.
 func TestColumnarStreamMatchesRowStream(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -89,38 +91,54 @@ func TestColumnarStreamMatchesRowStream(t *testing.T) {
 				t.Fatal(err)
 			}
 
+			res := rep.RepairRelation(w.dirty, repair.Linear)
 			var ref bytes.Buffer
-			refStats, err := rep.StreamCSV(bytes.NewReader(in.Bytes()), &ref, repair.Linear)
-			if err != nil {
+			if err := schema.WriteCSV(&ref, res.Relation); err != nil {
 				t.Fatal(err)
 			}
-			if refStats.Repaired == 0 {
-				t.Fatalf("%s: row stream repaired nothing; workload is not exercising the engine", tc.name)
+			repaired := 0
+			for i, c := range res.Changed {
+				if i == 0 || res.Changed[i-1].Row != c.Row {
+					repaired++
+				}
+			}
+			if repaired == 0 {
+				t.Fatalf("%s: reference repaired nothing; workload is not exercising the engine", tc.name)
 			}
 
 			for _, workers := range []int{1, 4} {
-				var got bytes.Buffer
-				stats, err := rep.StreamCSVColumnar(context.Background(),
-					bytes.NewReader(in.Bytes()), &got, repair.Linear,
-					repair.ParallelOptions{Workers: workers})
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				if !bytes.Equal(got.Bytes(), ref.Bytes()) {
-					t.Errorf("workers=%d: columnar output differs from row stream (%d vs %d bytes)",
-						workers, got.Len(), ref.Len())
-				}
-				if stats.Rows != refStats.Rows || stats.Repaired != refStats.Repaired ||
-					stats.Steps != refStats.Steps || stats.OOV != refStats.OOV {
-					t.Errorf("workers=%d: stats = %d/%d/%d/%d rows/repaired/steps/oov, reference %d/%d/%d/%d",
-						workers, stats.Rows, stats.Repaired, stats.Steps, stats.OOV,
-						refStats.Rows, refStats.Repaired, refStats.Steps, refStats.OOV)
-				}
-				if !maps.Equal(stats.PerRule, refStats.PerRule) {
-					t.Errorf("workers=%d: per-rule counts differ", workers)
-				}
-				if !maps.Equal(stats.OOVByAttr, refStats.OOVByAttr) {
-					t.Errorf("workers=%d: per-attribute OOV counts differ", workers)
+				for _, out := range []repair.Format{repair.CSV, repair.Fcol} {
+					var got bytes.Buffer
+					stats, err := rep.Stream(context.Background(), bytes.NewReader(in.Bytes()), &got, repair.Linear,
+						repair.StreamOptions{Out: out, Workers: workers})
+					if err != nil {
+						t.Fatalf("%v out workers=%d: %v", out, workers, err)
+					}
+					if out == repair.CSV && !bytes.Equal(got.Bytes(), ref.Bytes()) {
+						t.Errorf("workers=%d: stream output differs from reference (%d vs %d bytes)",
+							workers, got.Len(), ref.Len())
+					}
+					if out == repair.Fcol {
+						rel, err := store.ReadColumnar(&got)
+						if err != nil {
+							t.Fatalf("workers=%d: decoding fcol output: %v", workers, err)
+						}
+						if len(schema.Diff(res.Relation, rel)) != 0 {
+							t.Errorf("workers=%d: fcol output rows differ from reference", workers)
+						}
+					}
+					if stats.Rows != w.dirty.Len() || stats.Repaired != repaired ||
+						stats.Steps != res.Steps || stats.OOV != res.OOV {
+						t.Errorf("%v out workers=%d: stats = %d/%d/%d/%d rows/repaired/steps/oov, reference %d/%d/%d/%d",
+							out, workers, stats.Rows, stats.Repaired, stats.Steps, stats.OOV,
+							w.dirty.Len(), repaired, res.Steps, res.OOV)
+					}
+					if !maps.Equal(stats.PerRule, res.PerRule) {
+						t.Errorf("%v out workers=%d: per-rule counts differ", out, workers)
+					}
+					if !maps.Equal(stats.OOVByAttr, res.OOVByAttr) {
+						t.Errorf("%v out workers=%d: per-attribute OOV counts differ", out, workers)
+					}
 				}
 			}
 		})

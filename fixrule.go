@@ -204,20 +204,28 @@ func NewRepairer(rs *Ruleset) (*Repairer, error) { return repair.NewRepairerChec
 // with Repairer.Explain.
 type Explanation = repair.Explanation
 
-// StreamStats summarises a Repairer.StreamCSV run.
+// StreamStats summarises a Repairer.Stream run.
 type StreamStats = repair.StreamStats
 
-// StreamOptions tunes the parallel streaming repairs
-// (Repairer.StreamCSVParallelOpts / StreamFrelParallelOpts): worker count,
-// rows per pipeline chunk, optional occupancy gauges, and an optional
-// ChaseRecorder. The parallel streams produce byte-identical output and
-// identical StreamStats to their sequential counterparts at any worker
-// count.
-type StreamOptions = repair.ParallelOptions
+// StreamOptions configures Repairer.Stream: input and output formats (CSV,
+// the zero value, or Fcol), worker count, rows per pipeline chunk,
+// optional occupancy gauges, and an optional ChaseRecorder. The output
+// bytes and StreamStats are identical at any worker count and chunk size.
+type StreamOptions = repair.StreamOptions
+
+// Format names a stream encoding for StreamOptions.In and Out.
+type Format = repair.Format
+
+// The stream formats: CSV text with a header row, and the columnar fcol
+// chunk format. frel is a batch format and does not stream.
+const (
+	CSV  = repair.CSV
+	Fcol = repair.Fcol
+)
 
 // ChaseRecorder captures per-tuple chase traces — which rules fired on
 // which rows, in what order, with the assured-set evolution — from the
-// Recorded repair variants and the Traced/Opts streaming entry points. A
+// Recorded repair variants and Repairer.Stream (StreamOptions.Recorder). A
 // nil recorder is free. With an unlimited tuple cap the recorded rows are
 // deterministic in (seed, sample rate), identical at any worker count;
 // with a finite cap, which sampled rows land under the cap follows worker

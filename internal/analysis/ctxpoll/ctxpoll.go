@@ -1,9 +1,10 @@
 // Package ctxpoll enforces the engine's bounded-cancellation invariant:
 // in any function that receives a context.Context, every loop that can
 // run an unbounded number of iterations must consult the context — the
-// `rows&ctxCheckMask == 0 → ctx.Err()` pattern of the streaming repair
-// paths — so a cancelled request stops within a bounded amount of work
-// instead of draining an arbitrarily long input first.
+// per-chunk `ctx.Err()` poll of the streaming repair pipeline, or a
+// `rows&mask == 0 → ctx.Err()` poll in a row loop — so a cancelled
+// request stops within a bounded amount of work instead of draining an
+// arbitrarily long input first.
 //
 // The analyzer examines each function (declaration or literal) with a
 // context.Context in scope and flags condition-style `for` loops — `for
@@ -79,7 +80,7 @@ func checkFuncBody(pass *analysis.Pass, ft *ast.FuncType, body *ast.BlockStmt) {
 			return
 		}
 		pass.Reportf(loop.For, "unpolled-loop",
-			"unbounded loop in a context-carrying function never polls the context; check ctx.Err() on a bounded mask (see ctxCheckMask in internal/repair/stream.go)")
+			"unbounded loop in a context-carrying function never polls the context; check ctx.Err() on a bounded mask (see streamChunks in internal/repair/pipeline.go)")
 	})
 }
 

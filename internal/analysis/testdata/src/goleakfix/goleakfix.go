@@ -97,7 +97,7 @@ func returnsChannel() <-chan int {
 	return out
 }
 
-// closerPattern is the stream_parallel shape: workers joined by a
+// closerPattern is the stream pipeline's shape: workers joined by a
 // sibling closer goroutine, the closer joined by the done channel.
 func closerPattern(items []int) {
 	var wg sync.WaitGroup

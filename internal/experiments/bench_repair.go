@@ -52,9 +52,8 @@ func benchReps(budget time.Duration, run func()) time.Duration {
 
 // BenchRepair measures whole-relation repair throughput on the named
 // dataset with its default workload and returns one record per
-// configuration: cRepair, lRepair, lRepair with the parallel driver, the
-// sequential and parallel row-at-a-time CSV streaming paths, and the
-// columnar batch engine (sequential and parallel).
+// configuration: cRepair, lRepair, lRepair with the parallel driver, and
+// the CSV stream (Repairer.Stream) sequential and parallel.
 func BenchRepair(cfg Config, ds string) ([]RepairBench, error) {
 	w, err := makeWorkload(cfg, ds, 0.5)
 	if err != nil {
@@ -79,7 +78,15 @@ func BenchRepair(cfg Config, ds string) ([]RepairBench, error) {
 	in := csvIn.Bytes()
 
 	const budget = 2 * time.Second
-	out := make([]RepairBench, 0, 7)
+	stream := func(workers int) func() {
+		return func() {
+			if _, err := rep.Stream(context.Background(), bytes.NewReader(in), io.Discard, repair.Linear,
+				repair.StreamOptions{Workers: workers}); err != nil {
+				panic(err)
+			}
+		}
+	}
+	out := make([]RepairBench, 0, 5)
 	for _, m := range []struct {
 		name string
 		run  func()
@@ -87,28 +94,8 @@ func BenchRepair(cfg Config, ds string) ([]RepairBench, error) {
 		{"cRepair", func() { rep.RepairRelation(w.dirty, repair.Chase) }},
 		{"lRepair", func() { rep.RepairRelation(w.dirty, repair.Linear) }},
 		{"lRepair/parallel", func() { rep.RepairRelationParallel(w.dirty, repair.Linear, 0) }},
-		{"lRepair/stream", func() {
-			if _, err := rep.StreamCSV(bytes.NewReader(in), io.Discard, repair.Linear); err != nil {
-				panic(err)
-			}
-		}},
-		{"lRepair/stream-parallel", func() {
-			if _, err := rep.StreamCSVParallel(context.Background(), bytes.NewReader(in), io.Discard, repair.Linear, 0); err != nil {
-				panic(err)
-			}
-		}},
-		{"lRepair/stream-columnar", func() {
-			if _, err := rep.StreamCSVColumnar(context.Background(), bytes.NewReader(in), io.Discard, repair.Linear,
-				repair.ParallelOptions{Workers: 1}); err != nil {
-				panic(err)
-			}
-		}},
-		{"lRepair/stream-columnar-parallel", func() {
-			if _, err := rep.StreamCSVColumnar(context.Background(), bytes.NewReader(in), io.Discard, repair.Linear,
-				repair.ParallelOptions{}); err != nil {
-				panic(err)
-			}
-		}},
+		{"lRepair/stream", stream(1)},
+		{"lRepair/stream-parallel", stream(0)},
 	} {
 		d := benchReps(budget, m.run)
 		out = append(out, RepairBench{

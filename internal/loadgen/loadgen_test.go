@@ -116,7 +116,7 @@ func TestRunAgainstServer(t *testing.T) {
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
-	mix, err := loadgen.ParseMix("repair=4,csv=2,columnar=2,explain=1")
+	mix, err := loadgen.ParseMix("repair=4,csv=4,explain=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,21 +285,23 @@ func TestTruncationDetection(t *testing.T) {
 }
 
 func TestParseMix(t *testing.T) {
-	mix, err := loadgen.ParseMix("repair=4, csv=2,columnar, explain=0")
+	mix, err := loadgen.ParseMix("repair=4, csv, explain=0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// explain=0 drops out; bare "columnar" defaults to weight 1.
-	if len(mix) != 3 {
-		t.Fatalf("mix = %+v, want 3 entries", mix)
+	// explain=0 drops out; bare "csv" defaults to weight 1.
+	if len(mix) != 2 {
+		t.Fatalf("mix = %+v, want 2 entries", mix)
 	}
 	if mix[0].Op != loadgen.OpRepair || mix[0].Weight != 4 {
 		t.Errorf("entry 0 = %+v", mix[0])
 	}
-	if mix[2].Op != loadgen.OpColumnar || mix[2].Weight != 1 {
-		t.Errorf("entry 2 = %+v", mix[2])
+	if mix[1].Op != loadgen.OpCSV || mix[1].Weight != 1 {
+		t.Errorf("entry 1 = %+v", mix[1])
 	}
-	for _, bad := range []string{"", "bogus=1", "repair=x", "repair=-1", "explain=0"} {
+	// The retired columnar op is an unknown op now: the one engine runs
+	// every csv request.
+	for _, bad := range []string{"", "bogus=1", "repair=x", "repair=-1", "explain=0", "columnar=1"} {
 		if _, err := loadgen.ParseMix(bad); err == nil {
 			t.Errorf("ParseMix(%q) accepted", bad)
 		}

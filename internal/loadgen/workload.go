@@ -18,11 +18,8 @@ type Op int
 const (
 	// OpRepair posts a JSON tuple batch to /repair.
 	OpRepair Op = iota
-	// OpCSV streams a CSV body through /repair/csv (row engine).
+	// OpCSV streams a CSV body through /repair/csv.
 	OpCSV
-	// OpColumnar streams a CSV body through /repair/csv?engine=columnar
-	// (the batch engine).
-	OpColumnar
 	// OpExplain posts one tuple to /explain.
 	OpExplain
 )
@@ -34,8 +31,6 @@ func (o Op) String() string {
 		return "repair"
 	case OpCSV:
 		return "csv"
-	case OpColumnar:
-		return "columnar"
 	case OpExplain:
 		return "explain"
 	}
@@ -49,7 +44,7 @@ type MixEntry struct {
 }
 
 // ParseMix parses the -mix grammar: comma-separated op=weight pairs over
-// repair, csv, columnar and explain, e.g. "repair=4,csv=2,explain=1".
+// repair, csv and explain, e.g. "repair=4,csv=2,explain=1".
 func ParseMix(s string) ([]MixEntry, error) {
 	var mix []MixEntry
 	for _, part := range strings.Split(s, ",") {
@@ -71,12 +66,10 @@ func ParseMix(s string) ([]MixEntry, error) {
 			op = OpRepair
 		case "csv":
 			op = OpCSV
-		case "columnar":
-			op = OpColumnar
 		case "explain":
 			op = OpExplain
 		default:
-			return nil, fmt.Errorf("mix entry %q: unknown op (want repair, csv, columnar or explain)", part)
+			return nil, fmt.Errorf("mix entry %q: unknown op (want repair, csv or explain)", part)
 		}
 		if w > 0 {
 			mix = append(mix, MixEntry{Op: op, Weight: w})
@@ -209,15 +202,6 @@ func (w *workload) request(ctx context.Context, tk ticket) (*http.Request, int64
 		ctype = "text/csv"
 		body = w.csvBodies[v]
 		tuples = w.csvTuples
-	case OpColumnar:
-		sep := "?"
-		if w.csvPath != "" {
-			sep = "&"
-		}
-		url = w.base + prefix + "/repair/csv" + w.csvPath + sep + "engine=columnar"
-		ctype = "text/csv"
-		body = w.csvBodies[v]
-		tuples = w.csvTuples
 	case OpExplain:
 		url = w.base + prefix + "/explain"
 		ctype = "application/json"
@@ -257,7 +241,7 @@ func (w *workload) do(ctx context.Context, client *http.Client, tk ticket) (out 
 		return outcomeShed, ra, 0, n
 	case resp.StatusCode < 200 || resp.StatusCode > 299:
 		return outcomeError, 0, 0, n
-	case (tk.op == OpCSV || tk.op == OpColumnar) && tail.sawEnvelope():
+	case tk.op == OpCSV && tail.sawEnvelope():
 		// A 2xx stream that ends in a JSON error envelope was cut
 		// mid-flight (the server's only way to signal failure after the
 		// status line is gone).

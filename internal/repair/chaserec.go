@@ -64,7 +64,7 @@ const DefaultRecorderTuples = 256
 const droppedSetMax = 4 * DefaultRecorderTuples
 
 // A ChaseRecorder collects TupleTraces from a repair run. It is handed to
-// the Recorded repair variants (and ParallelOptions.Recorder); a nil
+// the Recorded repair variants (and StreamOptions.Recorder); a nil
 // recorder is free. Recording locks a mutex, but only for tuples that were
 // actually changed on sampled rows, so throughput impact tracks the error
 // rate, not the row rate. Safe for concurrent use by parallel workers.

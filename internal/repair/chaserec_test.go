@@ -11,6 +11,7 @@ import (
 
 	"fixrule/internal/repairlog"
 	"fixrule/internal/schema"
+	"fixrule/internal/store"
 )
 
 // TestChaseRecorderMatchesRepairlog: with full sampling and no cap, the
@@ -102,7 +103,8 @@ func TestChaseRecorderStreamingRowsExact(t *testing.T) {
 
 	seqRec := NewChaseRecorder(-1, 1, 0)
 	var seqOut bytes.Buffer
-	if _, err := r.StreamCSVTraced(context.Background(), strings.NewReader(input), &seqOut, Linear, seqRec); err != nil {
+	if _, err := r.Stream(context.Background(), strings.NewReader(input), &seqOut, Linear,
+		StreamOptions{Workers: 1, ChunkRows: 64, Recorder: seqRec}); err != nil {
 		t.Fatal(err)
 	}
 	var rows []int
@@ -116,8 +118,8 @@ func TestChaseRecorderStreamingRowsExact(t *testing.T) {
 	for _, workers := range []int{2, 3, 8} {
 		parRec := NewChaseRecorder(-1, 1, 0)
 		var parOut bytes.Buffer
-		opts := ParallelOptions{Workers: workers, ChunkRows: 64, Recorder: parRec}
-		if _, err := r.StreamCSVParallelOpts(context.Background(), strings.NewReader(input), &parOut, Linear, opts); err != nil {
+		opts := StreamOptions{Workers: workers, ChunkRows: 64, Recorder: parRec}
+		if _, err := r.Stream(context.Background(), strings.NewReader(input), &parOut, Linear, opts); err != nil {
 			t.Fatal(err)
 		}
 		if parOut.String() != seqOut.String() {
@@ -138,13 +140,8 @@ func TestStreamLogRevertRoundTrip(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		rec := NewChaseRecorder(-1, 1, 0)
 		var out bytes.Buffer
-		var err error
-		if workers > 1 {
-			_, err = r.StreamCSVParallelOpts(context.Background(), strings.NewReader(input), &out,
-				Linear, ParallelOptions{Workers: workers, Recorder: rec})
-		} else {
-			_, err = r.StreamCSVTraced(context.Background(), strings.NewReader(input), &out, Linear, rec)
-		}
+		_, err := r.Stream(context.Background(), strings.NewReader(input), &out,
+			Linear, StreamOptions{Workers: workers, Recorder: rec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -199,13 +196,8 @@ func TestChaseRecorderSamplingDeterministic(t *testing.T) {
 	runRows := func(seed uint64, workers int) []int {
 		rec := NewChaseRecorder(-1, 0.4, seed)
 		var out bytes.Buffer
-		var err error
-		if workers > 1 {
-			_, err = r.StreamCSVParallelOpts(context.Background(), strings.NewReader(input), &out,
-				Linear, ParallelOptions{Workers: workers, Recorder: rec})
-		} else {
-			_, err = r.StreamCSVTraced(context.Background(), strings.NewReader(input), &out, Linear, rec)
-		}
+		_, err := r.Stream(context.Background(), strings.NewReader(input), &out,
+			Linear, StreamOptions{Workers: workers, Recorder: rec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +223,7 @@ func TestChaseRecorderSamplingDeterministic(t *testing.T) {
 	if rows := func() []int {
 		rec := NewChaseRecorder(-1, 0, 0)
 		var out bytes.Buffer
-		if _, err := r.StreamCSVTraced(context.Background(), strings.NewReader(input), &out, Linear, rec); err != nil {
+		if _, err := r.Stream(context.Background(), strings.NewReader(input), &out, Linear, StreamOptions{Recorder: rec}); err != nil {
 			t.Fatal(err)
 		}
 		var rr []int
@@ -250,7 +242,8 @@ func TestChaseRecorderCap(t *testing.T) {
 	input, dirty := skewedCSV(300)
 	rec := NewChaseRecorder(2, 1, 0)
 	var out bytes.Buffer
-	if _, err := r.StreamCSVTraced(context.Background(), strings.NewReader(input), &out, Linear, rec); err != nil {
+	if _, err := r.Stream(context.Background(), strings.NewReader(input), &out, Linear,
+		StreamOptions{Workers: 1, Recorder: rec}); err != nil {
 		t.Fatal(err)
 	}
 	if rec.Len() != 2 {
@@ -291,29 +284,41 @@ func TestChaseRecorderDroppedBounded(t *testing.T) {
 	}
 }
 
-// TestRecorderDisabledZeroAlloc is the benchmark guard for the tentpole's
-// core constraint: with a nil recorder the streaming repair loop (encode +
-// per-attr OOV accounting + coded chase + write-back) allocates nothing.
+// TestRecorderDisabledZeroAlloc is the benchmark guard for the recorder's
+// core constraint: with a nil recorder the stream's chunk repair loop
+// (raw coding + per-attr OOV accounting + coded chase + repair capture)
+// allocates nothing.
 func TestRecorderDisabledZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates inside sync.Pool")
 	}
 	r := NewRepairer(paperRuleset())
-	dirty := schema.Tuple{"Ian", "China", "Shanghai", "Hongkong", "ICDE"}
-	tup := dirty.Clone()
-	stats := r.newStreamStats()
+	in := "name,country,capital,city,conf\n" +
+		"Ian,China,Shanghai,Hongkong,ICDE\n" +
+		"Peter,China,Tokyo,Tokyo,ICDE\n" +
+		"George,China,Beijing,Beijing,SIGMOD\n"
+	cr, _, err := r.openChunkCSV(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var chunk store.RawChunk
+	if _, err := cr.ReadRawChunk(&chunk, 16); err != nil {
+		t.Fatal(err)
+	}
 	sc := r.getScratch()
 	defer r.putScratch(sc)
+	acc := &r.newStreamAccs(1)[0].streamAccData
 	for _, alg := range []Algorithm{Chase, Linear} {
-		// Warm: populates the PerRule map keys outside the measured runs.
-		copy(tup, dirty)
-		r.repairInPlace(tup, alg, sc, stats, nil)
+		// Warm: grows the repair capture buffer outside the measured runs.
+		r.repairRawChunk(&chunk, sc, alg, acc, nil, 0)
 		allocs := testing.AllocsPerRun(100, func() {
-			copy(tup, dirty)
-			r.repairInPlace(tup, alg, sc, stats, nil)
+			r.repairRawChunk(&chunk, sc, alg, acc, nil, 0)
 		})
 		if allocs != 0 {
-			t.Errorf("%v: %v allocs per repairInPlace with recorder disabled, want 0", alg, allocs)
+			t.Errorf("%v: %v allocs per repairRawChunk with recorder disabled, want 0", alg, allocs)
+		}
+		if len(sc.reps) != 3 {
+			t.Errorf("%v: captured %d repairs, want 3", alg, len(sc.reps))
 		}
 	}
 }
@@ -347,8 +352,8 @@ func TestRepairRelationParallelRecordedMatchesSequential(t *testing.T) {
 }
 
 // TestOOVByAttrAccounting: the per-attribute OOV breakdown sums to OOV and
-// names the right attributes on all three paths (batch, stream, parallel
-// stream).
+// names the right attributes on all three paths (batch, sequential
+// stream, parallel stream).
 func TestOOVByAttrAccounting(t *testing.T) {
 	r := NewRepairer(paperRuleset())
 	rel := schema.NewRelation(travel())
@@ -375,20 +380,15 @@ func TestOOVByAttrAccounting(t *testing.T) {
 	var b bytes.Buffer
 	writeCSVRelation(t, &b, rel)
 	input := b.String()
-	var out bytes.Buffer
-	stats, err := r.StreamCSV(strings.NewReader(input), &out, Linear)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(stats.OOVByAttr, want) {
-		t.Fatalf("stream OOVByAttr = %v, want %v", stats.OOVByAttr, want)
-	}
-	out.Reset()
-	pstats, err := r.StreamCSVParallel(context.Background(), strings.NewReader(input), &out, Linear, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(pstats.OOVByAttr, want) {
-		t.Fatalf("parallel stream OOVByAttr = %v, want %v", pstats.OOVByAttr, want)
+	for _, workers := range []int{1, 3} {
+		var out bytes.Buffer
+		stats, err := r.Stream(context.Background(), strings.NewReader(input), &out, Linear,
+			StreamOptions{Workers: workers, ChunkRows: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(stats.OOVByAttr, want) {
+			t.Fatalf("workers=%d: stream OOVByAttr = %v, want %v", workers, stats.OOVByAttr, want)
+		}
 	}
 }

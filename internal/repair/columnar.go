@@ -1,17 +1,9 @@
 package repair
 
-import (
-	"context"
-	"fmt"
-	"io"
-	"sync"
+import "fixrule/internal/store"
 
-	"fixrule/internal/store"
-	"fixrule/internal/trace"
-)
-
-// This file is the columnar batch engine: instead of repairing row by row,
-// it consumes column chunks (store.ColChunk) and translates each chunk's
+// This file is the dictionary engine behind every fcol-output stream: it
+// consumes column chunks (store.ColChunk) and translates each chunk's
 // local dictionaries to Σ codes once — one valueTable lookup per *distinct*
 // value per chunk instead of one per cell. A per-dictionary-entry flag
 // vector then drives a branch-light prefilter over the []int32 code
@@ -19,26 +11,7 @@ import (
 // cell's code starts a non-empty inverted list (cellEvStart); rows — and
 // whole chunks — without one skip straight past the chase. Surviving rows
 // get the exact anyRuleMatches test (see compile.go for why it is exact on
-// fresh rows), so the chase itself runs only on rows that actually repair,
-// and clean chunks flow to the writer without being re-rendered.
-
-// defaultColumnarChunkRows is the columnar pipeline work unit: larger than
-// the row pipeline's because the per-chunk dictionary translation amortises
-// better over more rows, while a chunk of a few thousand rows still keeps
-// the re-sequencing window small.
-const defaultColumnarChunkRows = 4096
-
-// streamWriteBufSize sizes the output buffer of the byte-oriented streaming
-// paths; repaired chunks are rendered into worker-local buffers and the
-// ordered writer just copies bytes, so a generous buffer batches syscalls.
-const streamWriteBufSize = 1 << 18
-
-func (o ParallelOptions) withColumnarDefaults() ParallelOptions {
-	if o.ChunkRows <= 0 {
-		o.ChunkRows = defaultColumnarChunkRows
-	}
-	return o.withDefaults()
-}
+// fresh rows), so the chase itself runs only on rows that actually repair.
 
 // colScratch is one worker's columnar working set. It lives for one stream
 // (not pooled across streams: byGlobal caches translations keyed by the
@@ -66,7 +39,6 @@ type colScratch struct {
 	factLoc   []int32
 	factEpoch []int64
 	epoch     int64
-	rend      store.CSVChunkRenderer
 }
 
 func newColScratch(rp *Repairer) *colScratch {
@@ -215,307 +187,5 @@ func (rp *Repairer) repairChunk(c *store.ColChunk, cs *colScratch, alg Algorithm
 	}
 }
 
-// colMode selects the worker-side rendering of a repaired chunk.
-type colMode int
-
-const (
-	colCSV  colMode = iota // CSV text, byte-identical to encoding/csv
-	colFcol                // fcol chunk frame
-)
-
-// chunkUnit is one pipeline work unit: a chunk plus its rendered output,
-// reused through the fixed pool. spans is what the writer emits, in order;
-// each span may view out or the chunk's own buffers (both stay untouched
-// until the unit is recycled, which happens only after the emit).
-type chunkUnit[C any] struct {
-	seq     int64
-	rowBase int
-	chunk   C
-	out     []byte
-	spans   [][]byte
-}
-
-// colUnit is the dictionary-chunk instantiation.
+// colUnit is the dictionary-chunk pipeline instantiation.
 type colUnit = chunkUnit[store.ColChunk]
-
-func (cs *colScratch) render(u *colUnit, mode colMode) {
-	if mode == colCSV {
-		// The chunk's echo length predicts the rendering's closely (most
-		// rows are copied spans); reserving twice that up front means one
-		// allocation per stream instead of append-regrowth churn on the
-		// first chunk and a fresh buffer whenever a later chunk runs a few
-		// bytes longer.
-		if need := len(u.chunk.Echo) + 1024; cap(u.out) < need {
-			u.out = make([]byte, 0, 2*need)
-		}
-		u.out = cs.rend.AppendChunkCSV(u.out[:0], &u.chunk)
-	} else {
-		u.out = store.AppendChunkFrame(u.out[:0], &u.chunk)
-	}
-}
-
-// streamColumnar runs the dictionary-chunk engine over an abstract chunk
-// source and byte sink. read fills the chunk and returns its row count
-// (io.EOF at end of input); emit receives each chunk's rendered bytes in
-// input order, on the caller's goroutine. opts must already carry columnar
-// defaults.
-func (rp *Repairer) streamColumnar(ctx context.Context, read func(*store.ColChunk) (int, error), emit func([]byte) error, alg Algorithm, mode colMode, opts ParallelOptions) (*StreamStats, error) {
-	return streamChunks(ctx, rp, opts, read, emit,
-		func() *colScratch { return newColScratch(rp) },
-		func(cs *colScratch) { cs.release(rp) },
-		func(cs *colScratch, u *colUnit, acc *streamAccData) {
-			rp.repairChunk(&u.chunk, cs, alg, acc, opts.Recorder, u.rowBase)
-			cs.render(u, mode)
-			u.spans = append(u.spans[:0], u.out)
-		})
-}
-
-// streamChunks is the engine-agnostic pipeline: a bounded unit pool, a
-// reader goroutine, repair+render workers, and a re-sequencing writer on
-// the caller's goroutine. process repairs and renders one unit into u.out
-// using worker-local state S; newState/release bracket each worker's
-// scratch lifetime. Workers == 1 short-circuits to a fully sequential loop
-// (the single-core benchmark rows measure that path).
-func streamChunks[C, S any](ctx context.Context, rp *Repairer, opts ParallelOptions,
-	read func(*C) (int, error), emit func([]byte) error,
-	newState func() S, release func(S),
-	process func(S, *chunkUnit[C], *streamAccData),
-) (*StreamStats, error) {
-	if opts.Workers == 1 {
-		return streamChunksSeq(ctx, rp, opts, read, emit, newState, release, process)
-	}
-	workers := opts.Workers
-
-	psp := trace.SpanFromContext(ctx).StartChild("repair.stream.parallel")
-	psp.SetAttr(trace.Int("workers", workers), trace.Int("chunk_rows", opts.ChunkRows))
-
-	// The fixed unit pool bounds memory exactly like the row pipeline's
-	// chunk pool: every unit is always in exactly one stage.
-	poolSize := 2*workers + 2
-	recycle := make(chan *chunkUnit[C], poolSize)
-	for i := 0; i < poolSize; i++ {
-		recycle <- &chunkUnit[C]{}
-	}
-	work := make(chan *chunkUnit[C], poolSize)
-	done := make(chan *chunkUnit[C], poolSize)
-
-	// readErr and rowsRead are written by the reader goroutine only; the
-	// close(work) → workers drain → close(done) → writer-loop-exit chain
-	// orders those writes before the caller reads them below.
-	var readErr error
-	rowsRead := 0
-	go func() {
-		defer close(work)
-		seq := int64(0)
-		for {
-			if err := ctx.Err(); err != nil {
-				readErr = fmt.Errorf("repair: stream cancelled at row %d: %w", rowsRead, err)
-				return
-			}
-			u := <-recycle
-			n, err := read(&u.chunk)
-			if err == io.EOF {
-				recycle <- u
-				return
-			}
-			if err != nil {
-				readErr = fmt.Errorf("repair: stream row %d: %w", rowsRead+1, err)
-				recycle <- u
-				return
-			}
-			u.seq = seq
-			seq++
-			u.rowBase = rowsRead
-			rowsRead += n
-			if opts.QueueDepth != nil {
-				opts.QueueDepth.Add(1)
-			}
-			work <- u
-		}
-	}()
-
-	accs := make([]streamAcc, workers)
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		wg.Add(1)
-		go func(acc *streamAccData) {
-			defer wg.Done()
-			acc.perRule = make([]int32, len(rp.rules))
-			acc.oovBy = make([]int64, rp.c.arity)
-			wsp := psp.StartChild("repair.worker")
-			ws := newState()
-			for u := range work {
-				if opts.QueueDepth != nil {
-					opts.QueueDepth.Add(-1)
-				}
-				if opts.BusyWorkers != nil {
-					opts.BusyWorkers.Add(1)
-				}
-				process(ws, u, acc)
-				if opts.BusyWorkers != nil {
-					opts.BusyWorkers.Add(-1)
-				}
-				done <- u
-			}
-			release(ws)
-			wsp.SetAttr(
-				trace.Int("chunks", acc.chunks),
-				trace.Int("rows", acc.rows),
-				trace.Int("repaired", acc.repaired),
-				trace.Int("steps", acc.steps),
-			)
-			wsp.End()
-		}(&accs[wi].streamAccData)
-	}
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-
-	// Re-sequencing writer, on the caller's goroutine. After the first
-	// write error the loop keeps draining (workers must never block on a
-	// full done channel) but discards bytes.
-	var writeErr error
-	pending := make(map[int64]*chunkUnit[C], poolSize)
-	next := int64(0)
-	for u := range done {
-		pending[u.seq] = u
-		//fix:allow ctxpoll: drains the bounded pending map and exits when the next unit is absent; the reader already polls ctx per chunk
-		for {
-			c, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			if writeErr == nil {
-				for _, s := range c.spans {
-					if writeErr = emit(s); writeErr != nil {
-						break
-					}
-				}
-			}
-			recycle <- c // cap(recycle) == poolSize: never blocks
-		}
-	}
-
-	if readErr != nil {
-		psp.SetError(readErr.Error())
-		psp.End()
-		return nil, readErr
-	}
-	if writeErr != nil {
-		psp.SetError(writeErr.Error())
-		psp.End()
-		return nil, writeErr
-	}
-	stats := rp.statsFromAccs(accs, rowsRead)
-	psp.SetAttr(
-		trace.Int("rows", stats.Rows),
-		trace.Int("repaired", stats.Repaired),
-		trace.Int("steps", stats.Steps),
-		trace.Int("oov", stats.OOV),
-	)
-	psp.End()
-	return stats, nil
-}
-
-// streamChunksSeq is the single-threaded pipeline: no goroutines, no
-// channels — read, repair, render, emit.
-func streamChunksSeq[C, S any](ctx context.Context, rp *Repairer, opts ParallelOptions,
-	read func(*C) (int, error), emit func([]byte) error,
-	newState func() S, release func(S),
-	process func(S, *chunkUnit[C], *streamAccData),
-) (*StreamStats, error) {
-	accs := make([]streamAcc, 1)
-	acc := &accs[0].streamAccData
-	acc.perRule = make([]int32, len(rp.rules))
-	acc.oovBy = make([]int64, rp.c.arity)
-	ws := newState()
-	defer release(ws)
-	var u chunkUnit[C]
-	rowBase := 0
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("repair: stream cancelled at row %d: %w", rowBase, err)
-		}
-		n, err := read(&u.chunk)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("repair: stream row %d: %w", rowBase+1, err)
-		}
-		u.rowBase = rowBase
-		rowBase += n
-		process(ws, &u, acc)
-		for _, s := range u.spans {
-			if err := emit(s); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return rp.statsFromAccs(accs, rowBase), nil
-}
-
-// StreamCSVToColumnar converts while repairing: CSV in, repaired fcol chunk
-// stream out — the ingestion half of the columnar surface. Chunks are
-// dictionary-encoded by the chunked CSV reader (each distinct column value
-// is translated into Σ's vocabulary once per stream, via the reader's
-// persistent global value ids), repaired in columnar form with repair facts
-// joining the chunk dictionaries, and framed to w as fcol.
-func (rp *Repairer) StreamCSVToColumnar(ctx context.Context, r io.Reader, w io.Writer, alg Algorithm, opts ParallelOptions) (stats *StreamStats, err error) {
-	_, end := streamSpan(ctx, "repair.stream.csv-to-fcol")
-	defer func() { end(stats, err) }()
-	opts = opts.withColumnarDefaults()
-	cr, _, err := rp.openChunkCSV(r)
-	if err != nil {
-		return nil, err
-	}
-	cw, err := store.NewChunkWriter(w, rp.rs.Schema())
-	if err != nil {
-		return nil, err
-	}
-	read := func(c *store.ColChunk) (int, error) { return cr.ReadChunk(c, opts.ChunkRows) }
-	stats, err = rp.streamColumnar(ctx, read, cw.WriteFrame, alg, colFcol, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := cw.Close(); err != nil {
-		return nil, err
-	}
-	return stats, nil
-}
-
-// StreamColumnar repairs an fcol chunk stream (see internal/store): chunks
-// are decoded from r, repaired in columnar form — repair facts join the
-// chunk dictionaries — and re-encoded to w. The stream's schema must match
-// the repairer's.
-func (rp *Repairer) StreamColumnar(ctx context.Context, r io.Reader, w io.Writer, alg Algorithm, opts ParallelOptions) (stats *StreamStats, err error) {
-	_, end := streamSpan(ctx, "repair.stream.fcol")
-	defer func() { end(stats, err) }()
-	opts = opts.withColumnarDefaults()
-	sc, err := store.NewChunkScanner(r)
-	if err != nil {
-		return nil, err
-	}
-	// Attribute lists must agree; the relation name is immaterial, exactly
-	// as for a CSV header (which carries none) — an fcol file converted
-	// from CSV keeps whatever ad-hoc name the converter chose.
-	if !attrsMatch(sc.Schema(), rp.rs.Schema()) {
-		return nil, fmt.Errorf("repair: fcol schema %s does not match rule schema %s",
-			sc.Schema(), rp.rs.Schema())
-	}
-	cw, err := store.NewChunkWriter(w, sc.Schema())
-	if err != nil {
-		return nil, err
-	}
-	stats, err = rp.streamColumnar(ctx, sc.ReadChunk, cw.WriteFrame, alg, colFcol, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := cw.Close(); err != nil {
-		return nil, err
-	}
-	return stats, nil
-}

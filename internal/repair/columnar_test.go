@@ -24,76 +24,89 @@ func relationFcol(tb testing.TB, rel *schema.Relation, chunkRows int) []byte {
 	return buf.Bytes()
 }
 
-// TestStreamCSVColumnarByteIdentical: the columnar engine's golden
-// property — for every worker count and chunk size, its CSV output bytes
-// and StreamStats equal the row-at-a-time sequential stream's exactly,
+// TestStreamCSVColumnarByteIdentical: the CSV stream's golden property
+// for both algorithms — for every worker count and chunk size, its output
+// bytes and StreamStats equal the in-memory reference repair's exactly,
 // including on CSV-hostile values and the chunk-skipping prefilter paths.
 func TestStreamCSVColumnarByteIdentical(t *testing.T) {
 	r := NewRepairer(paperRuleset())
 	in := relationCSV(t, skewedRelation(4000))
 
-	var seqOut bytes.Buffer
-	seqStats, err := r.StreamCSV(bytes.NewReader(in), &seqOut, Linear)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seqStats.Repaired == 0 || seqStats.OOV == 0 {
-		t.Fatalf("workload not adversarial as intended: %+v", seqStats)
-	}
 	for _, alg := range []Algorithm{Linear, Chase} {
-		algStats, err := r.StreamCSV(bytes.NewReader(in), io.Discard, alg)
+		want, wantStats, err := referenceStream(r, in, alg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if wantStats.Repaired == 0 || wantStats.OOV == 0 {
+			t.Fatalf("workload not adversarial as intended: %+v", wantStats)
+		}
 		for _, workers := range workerCounts() {
 			for _, chunkRows := range []int{0, 64, 1} {
-				var colOut bytes.Buffer
-				colStats, err := r.StreamCSVColumnar(context.Background(), bytes.NewReader(in), &colOut, alg,
-					ParallelOptions{Workers: workers, ChunkRows: chunkRows})
+				var out bytes.Buffer
+				stats, err := r.Stream(context.Background(), bytes.NewReader(in), &out, alg,
+					StreamOptions{Workers: workers, ChunkRows: chunkRows})
 				if err != nil {
 					t.Fatalf("%v workers=%d chunk=%d: %v", alg, workers, chunkRows, err)
 				}
-				if !bytes.Equal(seqOut.Bytes(), colOut.Bytes()) {
-					t.Errorf("%v workers=%d chunk=%d: output bytes differ from sequential", alg, workers, chunkRows)
+				if !bytes.Equal(want, out.Bytes()) {
+					t.Errorf("%v workers=%d chunk=%d: output bytes differ from reference", alg, workers, chunkRows)
 				}
-				if !reflect.DeepEqual(algStats, colStats) {
-					t.Errorf("%v workers=%d chunk=%d: stats = %+v, want %+v", alg, workers, chunkRows, colStats, algStats)
+				if !reflect.DeepEqual(wantStats, stats) {
+					t.Errorf("%v workers=%d chunk=%d: stats = %+v, want %+v", alg, workers, chunkRows, stats, wantStats)
 				}
 			}
 		}
 	}
 }
 
-// TestStreamColumnarFcol: the fcol→fcol path repairs to the same rows and
-// stats as the CSV paths, and its output decodes cleanly (checksummed).
+// TestStreamColumnarFcol: the fcol→fcol and CSV→fcol streams repair to
+// the same rows and stats as the CSV stream, and their output decodes
+// cleanly (checksummed).
 func TestStreamColumnarFcol(t *testing.T) {
 	r := NewRepairer(paperRuleset())
 	rel := skewedRelation(2000)
 	want := r.RepairRelation(rel, Linear)
-	seqStats, err := r.StreamCSV(bytes.NewReader(relationCSV(t, rel)), io.Discard, Linear)
+	csvIn := relationCSV(t, rel)
+	seqStats, err := r.Stream(context.Background(), bytes.NewReader(csvIn), io.Discard, Linear, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	check := func(name string, out []byte, stats *StreamStats) {
+		t.Helper()
+		got, err := store.ReadColumnar(bytes.NewReader(out))
+		if err != nil {
+			t.Fatalf("%s: decoding repaired stream: %v", name, err)
+		}
+		if len(schema.Diff(want.Relation, got)) != 0 {
+			t.Errorf("%s: repaired rows differ from RepairRelation", name)
+		}
+		if !reflect.DeepEqual(seqStats, stats) {
+			t.Errorf("%s: stats = %+v, want %+v", name, stats, seqStats)
+		}
 	}
 	for _, workers := range workerCounts() {
 		for _, chunkRows := range []int{256, 3000} {
 			in := relationFcol(t, rel, chunkRows)
 			var out bytes.Buffer
-			stats, err := r.StreamColumnar(context.Background(), bytes.NewReader(in), &out, Linear,
-				ParallelOptions{Workers: workers})
+			stats, err := r.Stream(context.Background(), bytes.NewReader(in), &out, Linear,
+				StreamOptions{In: Fcol, Out: Fcol, Workers: workers})
 			if err != nil {
 				t.Fatalf("workers=%d chunk=%d: %v", workers, chunkRows, err)
 			}
-			got, err := store.ReadColumnar(bytes.NewReader(out.Bytes()))
-			if err != nil {
-				t.Fatalf("workers=%d chunk=%d: decoding repaired stream: %v", workers, chunkRows, err)
-			}
-			if len(schema.Diff(want.Relation, got)) != 0 {
-				t.Errorf("workers=%d chunk=%d: repaired rows differ from RepairRelation", workers, chunkRows)
-			}
-			if !reflect.DeepEqual(seqStats, stats) {
-				t.Errorf("workers=%d chunk=%d: stats = %+v, want %+v", workers, chunkRows, stats, seqStats)
-			}
+			check(fmt.Sprintf("fcol workers=%d chunk=%d", workers, chunkRows), out.Bytes(), stats)
 		}
+		var out bytes.Buffer
+		stats, err := r.Stream(context.Background(), bytes.NewReader(csvIn), &out, Linear,
+			StreamOptions{Out: Fcol, Workers: workers})
+		if err != nil {
+			t.Fatalf("csv to fcol workers=%d: %v", workers, err)
+		}
+		check(fmt.Sprintf("csv to fcol workers=%d", workers), out.Bytes(), stats)
+	}
+	// fcol in, CSV out is not a stream this package renders.
+	if _, err := r.Stream(context.Background(), bytes.NewReader(relationFcol(t, rel, 0)), io.Discard, Linear,
+		StreamOptions{In: Fcol}); err == nil || !strings.Contains(err.Error(), "only to fcol") {
+		t.Errorf("fcol to csv: err = %v, want rejection", err)
 	}
 }
 
@@ -104,38 +117,42 @@ func TestStreamColumnarFcolSchemaMismatch(t *testing.T) {
 	other := schema.NewRelation(schema.New("other", "x", "y"))
 	other.Append(schema.Tuple{"1", "2"})
 	in := relationFcol(t, other, 0)
-	_, err := r.StreamColumnar(context.Background(), bytes.NewReader(in), io.Discard, Linear, ParallelOptions{})
+	_, err := r.Stream(context.Background(), bytes.NewReader(in), io.Discard, Linear, StreamOptions{In: Fcol, Out: Fcol})
 	if err == nil || !strings.Contains(err.Error(), "does not match rule schema") {
 		t.Fatalf("err = %v, want schema mismatch", err)
 	}
 }
 
-// TestStreamCSVColumnarErrors: the columnar CSV path rejects and accepts
-// exactly what the row path does — bad headers, BOM inputs, malformed rows
-// with the same row numbering, dead contexts.
+// TestStreamCSVColumnarErrors: the CSV stream rejects bad headers,
+// malformed rows (with their row number) and dead contexts, and ignores a
+// BOM — with or without fcol output.
 func TestStreamCSVColumnarErrors(t *testing.T) {
 	r := NewRepairer(paperRuleset())
 	ctx := context.Background()
 
 	t.Run("bad header", func(t *testing.T) {
 		in := "wrong,country,capital,city,conf\n"
-		_, err := r.StreamCSVColumnar(ctx, strings.NewReader(in), io.Discard, Linear, ParallelOptions{})
-		if err == nil || !strings.Contains(err.Error(), `field 0 is "wrong"`) {
-			t.Fatalf("err = %v, want header field error", err)
+		for _, out := range []Format{CSV, Fcol} {
+			_, err := r.Stream(ctx, strings.NewReader(in), io.Discard, Linear, StreamOptions{Out: out})
+			if err == nil || !strings.Contains(err.Error(), `field 0 is "wrong"`) {
+				t.Fatalf("%v out: err = %v, want header field error", out, err)
+			}
 		}
 	})
 	t.Run("bom", func(t *testing.T) {
 		plain := "name,country,capital,city,conf\nIan,China,Shanghai,Hongkong,ICDE\n"
-		var want bytes.Buffer
-		if _, err := r.StreamCSV(strings.NewReader(plain), &want, Linear); err != nil {
-			t.Fatal(err)
-		}
-		var got bytes.Buffer
-		if _, err := r.StreamCSVColumnar(ctx, strings.NewReader("\xEF\xBB\xBF"+plain), &got, Linear, ParallelOptions{}); err != nil {
-			t.Fatalf("BOM input rejected: %v", err)
-		}
-		if !bytes.Equal(want.Bytes(), got.Bytes()) {
-			t.Error("BOM input repaired differently from plain input")
+		for _, out := range []Format{CSV, Fcol} {
+			var want bytes.Buffer
+			if _, err := r.Stream(ctx, strings.NewReader(plain), &want, Linear, StreamOptions{Out: out}); err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if _, err := r.Stream(ctx, strings.NewReader("\xEF\xBB\xBF"+plain), &got, Linear, StreamOptions{Out: out}); err != nil {
+				t.Fatalf("%v out: BOM input rejected: %v", out, err)
+			}
+			if !bytes.Equal(want.Bytes(), got.Bytes()) {
+				t.Errorf("%v out: BOM input repaired differently from plain input", out)
+			}
 		}
 	})
 	t.Run("row error", func(t *testing.T) {
@@ -143,9 +160,11 @@ func TestStreamCSVColumnarErrors(t *testing.T) {
 			"Ian,China,Shanghai,Hongkong,ICDE\n" +
 			"broken,row\n"
 		for _, workers := range []int{1, 2} {
-			_, err := r.StreamCSVColumnar(ctx, strings.NewReader(in), io.Discard, Linear, ParallelOptions{Workers: workers})
-			if err == nil || !strings.Contains(err.Error(), "stream row 2") {
-				t.Fatalf("workers=%d: err = %v, want row 2 stream error", workers, err)
+			for _, out := range []Format{CSV, Fcol} {
+				_, err := r.Stream(ctx, strings.NewReader(in), io.Discard, Linear, StreamOptions{Out: out, Workers: workers})
+				if err == nil || !strings.Contains(err.Error(), "stream row 2") {
+					t.Fatalf("%v out workers=%d: err = %v, want row 2 stream error", out, workers, err)
+				}
 			}
 		}
 	})
@@ -154,37 +173,40 @@ func TestStreamCSVColumnarErrors(t *testing.T) {
 		dead, cancel := context.WithCancel(ctx)
 		cancel()
 		for _, workers := range []int{1, 4} {
-			_, err := r.StreamCSVColumnar(dead, bytes.NewReader(in), io.Discard, Linear, ParallelOptions{Workers: workers})
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+			for _, out := range []Format{CSV, Fcol} {
+				_, err := r.Stream(dead, bytes.NewReader(in), io.Discard, Linear, StreamOptions{Out: out, Workers: workers})
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("%v out workers=%d: err = %v, want context.Canceled", out, workers, err)
+				}
 			}
 		}
 	})
 }
 
-// TestStreamCSVColumnarRecorder: chase traces recorded through the
-// columnar engine equal the row engine's at any worker count — global row
+// TestStreamCSVColumnarRecorder: chase traces recorded through either
+// engine equal the in-memory reference's at any worker count — global row
 // numbers, rule order, and pre-repair values.
 func TestStreamCSVColumnarRecorder(t *testing.T) {
 	r := NewRepairer(paperRuleset())
-	in := relationCSV(t, skewedRelation(1000))
+	rel := skewedRelation(1000)
+	in := relationCSV(t, rel)
 
 	want := NewChaseRecorder(-1, 1, 0)
-	if _, err := r.StreamCSVTraced(context.Background(), bytes.NewReader(in), io.Discard, Linear, want); err != nil {
-		t.Fatal(err)
-	}
+	r.RepairRelationRecorded(rel, Linear, want)
 	if want.Len() == 0 {
 		t.Fatal("no traces recorded")
 	}
-	for _, workers := range []int{1, 3} {
-		rec := NewChaseRecorder(-1, 1, 0)
-		_, err := r.StreamCSVColumnar(context.Background(), bytes.NewReader(in), io.Discard, Linear,
-			ParallelOptions{Workers: workers, ChunkRows: 128, Recorder: rec})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want.Tuples(), rec.Tuples()) {
-			t.Errorf("workers=%d: columnar traces differ from sequential", workers)
+	for _, out := range []Format{CSV, Fcol} {
+		for _, workers := range []int{1, 3} {
+			rec := NewChaseRecorder(-1, 1, 0)
+			_, err := r.Stream(context.Background(), bytes.NewReader(in), io.Discard, Linear,
+				StreamOptions{Out: out, Workers: workers, ChunkRows: 128, Recorder: rec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want.Tuples(), rec.Tuples()) {
+				t.Errorf("%v out workers=%d: stream traces differ from the reference", out, workers)
+			}
 		}
 	}
 }
@@ -206,11 +228,10 @@ func lowCardRelation(n int) *schema.Relation {
 	return rel
 }
 
-// TestStreamCSVColumnarAllocsPerRow pins the batch engine's allocation
+// TestStreamCSVColumnarAllocsPerRow pins the stream's allocation
 // budget: once every distinct value is interned, parsing, translation,
 // repair, and rendering run out of reused buffers, so the whole stream
-// costs a fixed setup plus (almost) nothing per row — an order of
-// magnitude under the row engine's ~1 alloc/row.
+// costs a fixed setup plus (almost) nothing per row.
 func TestStreamCSVColumnarAllocsPerRow(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector adds allocations")
@@ -219,13 +240,13 @@ func TestStreamCSVColumnarAllocsPerRow(t *testing.T) {
 	const rows = 20000
 	in := relationCSV(t, lowCardRelation(rows))
 	avg := testing.AllocsPerRun(5, func() {
-		if _, err := r.StreamCSVColumnar(context.Background(), bytes.NewReader(in), io.Discard, Linear,
-			ParallelOptions{Workers: 1}); err != nil {
+		if _, err := r.Stream(context.Background(), bytes.NewReader(in), io.Discard, Linear,
+			StreamOptions{Workers: 1}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if avg > rows*0.05 {
-		t.Errorf("StreamCSVColumnar allocations = %.0f for %d rows (%.3f/row), want ≤ 0.05/row", avg, rows, avg/rows)
+		t.Errorf("Stream allocations = %.0f for %d rows (%.3f/row), want ≤ 0.05/row", avg, rows, avg/rows)
 	}
 }
 
@@ -241,8 +262,8 @@ func TestStreamCSVColumnarPrefilterSkip(t *testing.T) {
 		fmt.Fprintf(&in, "p%d,Nowhere,None,None,NONE\n", i)
 	}
 	var out bytes.Buffer
-	stats, err := r.StreamCSVColumnar(context.Background(), bytes.NewReader(in.Bytes()), &out, Linear,
-		ParallelOptions{Workers: 1})
+	stats, err := r.Stream(context.Background(), bytes.NewReader(in.Bytes()), &out, Linear,
+		StreamOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -501,6 +501,10 @@ type codedScratch struct {
 	applied    []int32  // applied rule positions, in application order
 	encKeys    []string // batch-encode memo: interned strings, one page per relevant attr
 	encCodes   []uint32 // codes parallel to encKeys
+
+	// reps records the raw stream engine's applied rules in the current
+	// chunk (rawcsv.go).
+	reps []rawRepair
 }
 
 func (sc *codedScratch) resetAssured() {

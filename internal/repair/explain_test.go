@@ -2,11 +2,11 @@ package repair
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
 	"fixrule/internal/schema"
-	"fixrule/internal/store"
 )
 
 func TestExplainCascade(t *testing.T) {
@@ -63,7 +63,7 @@ Peter,China,Tokyo,Tokyo,ICDE
 Mike,Canada,Toronto,Toronto,VLDB
 `
 	var out bytes.Buffer
-	stats, err := r.StreamCSV(strings.NewReader(in), &out, Linear)
+	stats, err := r.Stream(context.Background(), strings.NewReader(in), &out, Linear, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,49 +95,8 @@ func TestStreamCSVErrors(t *testing.T) {
 	}
 	for i, in := range cases {
 		var out bytes.Buffer
-		if _, err := r.StreamCSV(strings.NewReader(in), &out, Linear); err == nil {
+		if _, err := r.Stream(context.Background(), strings.NewReader(in), &out, Linear, StreamOptions{}); err == nil {
 			t.Errorf("case %d accepted", i)
 		}
-	}
-}
-
-func TestStreamFrel(t *testing.T) {
-	r := NewRepairer(paperRuleset())
-	rel := fig1Relation()
-	var in bytes.Buffer
-	if err := store.Write(&in, rel); err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	stats, err := r.StreamFrel(&in, &out, Linear)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Rows != 4 || stats.Repaired != 3 || stats.Steps != 4 {
-		t.Errorf("stats = %+v", stats)
-	}
-	got, err := store.Read(&out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fig8Want()
-	for i := range want {
-		if !got.Row(i).Equal(want[i]) {
-			t.Errorf("row %d = %v, want %v", i, got.Row(i), want[i])
-		}
-	}
-}
-
-func TestStreamFrelSchemaMismatch(t *testing.T) {
-	r := NewRepairer(paperRuleset())
-	other := schema.NewRelation(schema.New("Other", "x", "y"))
-	other.Append(schema.Tuple{"1", "2"})
-	var in bytes.Buffer
-	if err := store.Write(&in, other); err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if _, err := r.StreamFrel(&in, &out, Linear); err == nil {
-		t.Fatal("schema mismatch accepted")
 	}
 }

@@ -1,17 +1,9 @@
 package repair
 
-import (
-	"bufio"
-	"context"
-	"fmt"
-	"io"
+import "fixrule/internal/store"
 
-	"fixrule/internal/schema"
-	"fixrule/internal/store"
-)
-
-// This file is the raw streaming engine behind StreamCSVColumnar: CSV in,
-// CSV out, with no value interning anywhere. The dictionary engine
+// This file is the raw streaming engine behind every CSV-to-CSV stream:
+// CSV in, CSV out, with no value interning anywhere. The dictionary engine
 // (columnar.go) pays one hash per distinct value per chunk, but for a
 // text-to-text stream the intern tables themselves are the bottleneck —
 // they are large, cold, and maintained per cell. Here each cell's bytes
@@ -33,12 +25,6 @@ type rawUnit = chunkUnit[store.RawChunk]
 type rawRepair struct {
 	row int32
 	pos int32
-}
-
-// rawScratch is one worker's raw-engine working set.
-type rawScratch struct {
-	sc   *codedScratch
-	reps []rawRepair
 }
 
 // codeRawRow codes the Σ-relevant cells of the raw row starting at cell
@@ -70,13 +56,12 @@ func (c *compiled) codeRawRow(buf []byte, ends []int32, off int, row []uint32, o
 // repairRawChunk repairs one raw chunk: code each row straight into Σ's
 // vocabulary, skip rows that cannot match (no evidence-starting cell, or
 // the exact predicate says no rule applies), chase the survivors, and
-// record the applied rules into rs.reps.
-func (rp *Repairer) repairRawChunk(c *store.RawChunk, rs *rawScratch, alg Algorithm, acc *streamAccData, rec *ChaseRecorder, rowBase int) {
+// record the applied rules into sc.reps.
+func (rp *Repairer) repairRawChunk(c *store.RawChunk, sc *codedScratch, alg Algorithm, acc *streamAccData, rec *ChaseRecorder, rowBase int) {
 	eng := rp.c
 	acc.chunks++
 	acc.rows += c.Rows
-	reps := rs.reps[:0]
-	sc := rs.sc
+	reps := sc.reps[:0]
 	row := sc.row
 	for i := 0; i < c.Rows; i++ {
 		hit, oov := eng.codeRawRow(c.Buf, c.Ends, i*c.Arity, row, acc.oovBy)
@@ -102,7 +87,7 @@ func (rp *Repairer) repairRawChunk(c *store.RawChunk, rs *rawScratch, alg Algori
 			acc.perRule[pos]++
 		}
 	}
-	rs.reps = reps
+	sc.reps = reps
 }
 
 // renderRawRow re-renders one row cell by cell, substituting the facts of
@@ -194,76 +179,4 @@ func (rp *Repairer) buildSpans(u *rawUnit, reps []rawRepair) {
 		spans = append(spans, c.Buf[runStart:])
 	}
 	u.out, u.spans = out, spans
-}
-
-// StreamCSVColumnar is the columnar counterpart of StreamCSVParallelOpts:
-// same inputs accepted and rejected, byte-identical output, identical
-// StreamStats, at batch throughput. Workers <= 0 selects GOMAXPROCS;
-// Workers == 1 runs a fully sequential loop.
-func (rp *Repairer) StreamCSVColumnar(ctx context.Context, r io.Reader, w io.Writer, alg Algorithm, opts ParallelOptions) (stats *StreamStats, err error) {
-	_, end := streamSpan(ctx, "repair.stream.csv-columnar")
-	defer func() { end(stats, err) }()
-	opts = opts.withColumnarDefaults()
-	cr, header, err := rp.openChunkCSV(r)
-	if err != nil {
-		return nil, err
-	}
-	bw := bufio.NewWriterSize(w, streamWriteBufSize)
-	var hb []byte
-	for i, a := range header {
-		if i > 0 {
-			hb = append(hb, ',')
-		}
-		hb = store.AppendCSVValue(hb, a)
-	}
-	hb = append(hb, '\n')
-	if _, err := bw.Write(hb); err != nil {
-		return nil, err
-	}
-	read := func(c *store.RawChunk) (int, error) { return cr.ReadRawChunk(c, opts.ChunkRows) }
-	emit := func(b []byte) error { _, err := bw.Write(b); return err }
-	stats, err = streamChunks(ctx, rp, opts, read, emit,
-		func() *rawScratch { return &rawScratch{sc: rp.getScratch()} },
-		func(rs *rawScratch) { rp.putScratch(rs.sc) },
-		func(rs *rawScratch, u *rawUnit, acc *streamAccData) {
-			rp.repairRawChunk(&u.chunk, rs, alg, acc, opts.Recorder, u.rowBase)
-			rp.buildSpans(u, rs.reps)
-		})
-	if err != nil {
-		return nil, err
-	}
-	if err := bw.Flush(); err != nil {
-		return nil, err
-	}
-	return stats, nil
-}
-
-// attrsMatch reports whether two schemas carry the same attribute list,
-// ignoring the relation name.
-func attrsMatch(a, b *schema.Schema) bool {
-	if a.Arity() != b.Arity() {
-		return false
-	}
-	for i, attr := range a.Attrs() {
-		if b.Attrs()[i] != attr {
-			return false
-		}
-	}
-	return true
-}
-
-// openChunkCSV opens a chunked CSV reader over r and validates the header
-// against the repairer's schema.
-func (rp *Repairer) openChunkCSV(r io.Reader) (*store.CSVChunkReader, []string, error) {
-	sch := rp.rs.Schema()
-	cr, header, err := store.NewCSVChunkReader(r, sch.Arity())
-	if err != nil {
-		return nil, nil, fmt.Errorf("repair: stream header: %w", err)
-	}
-	for i, a := range sch.Attrs() {
-		if header[i] != a {
-			return nil, nil, fmt.Errorf("repair: stream header field %d is %q, want %q", i, header[i], a)
-		}
-	}
-	return cr, header, nil
 }

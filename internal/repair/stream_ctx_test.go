@@ -9,15 +9,15 @@ import (
 	"fixrule/internal/schema"
 )
 
-// TestStreamCSVContextCancelled: a dead context stops the stream between
-// rows with an errors.Is-compatible cause.
+// TestStreamCSVContextCancelled: a dead context stops the stream before
+// its first chunk with an errors.Is-compatible cause.
 func TestStreamCSVContextCancelled(t *testing.T) {
 	r := NewRepairer(paperRuleset())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	in := "name,country,capital,city,conf\nIan,China,Shanghai,Hongkong,ICDE\n"
 	var out strings.Builder
-	_, err := r.StreamCSVContext(ctx, strings.NewReader(in), &out, Linear)
+	_, err := r.Stream(ctx, strings.NewReader(in), &out, Linear, StreamOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -31,19 +31,19 @@ func TestStreamCSVContextDeadline(t *testing.T) {
 	defer cancel()
 	in := "name,country,capital,city,conf\nIan,China,Shanghai,Hongkong,ICDE\n"
 	var out strings.Builder
-	_, err := r.StreamCSVContext(ctx, strings.NewReader(in), &out, Linear)
+	_, err := r.Stream(ctx, strings.NewReader(in), &out, Linear, StreamOptions{})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }
 
 // TestStreamCSVContextBackground: the background context never fires and
-// the stream completes exactly as StreamCSV does.
+// the stream completes.
 func TestStreamCSVContextBackground(t *testing.T) {
 	r := NewRepairer(paperRuleset())
 	in := "name,country,capital,city,conf\nIan,China,Shanghai,Hongkong,ICDE\n"
 	var out strings.Builder
-	stats, err := r.StreamCSVContext(context.Background(), strings.NewReader(in), &out, Linear)
+	stats, err := r.Stream(context.Background(), strings.NewReader(in), &out, Linear, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,12 +100,15 @@ func TestOOVCountersAgree(t *testing.T) {
 	for i := 0; i < rel.Len(); i++ {
 		csvIn.WriteString(strings.Join(rel.Row(i), ",") + "\n")
 	}
-	var out strings.Builder
-	stats, err := r.StreamCSV(strings.NewReader(csvIn.String()), &out, Linear)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.OOV != want {
-		t.Errorf("StreamCSV OOV = %d, want %d", stats.OOV, want)
+	for _, workers := range []int{1, 3} {
+		var out strings.Builder
+		stats, err := r.Stream(context.Background(), strings.NewReader(csvIn.String()), &out, Linear,
+			StreamOptions{Workers: workers, ChunkRows: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.OOV != want {
+			t.Errorf("workers=%d: Stream OOV = %d, want %d", workers, stats.OOV, want)
+		}
 	}
 }

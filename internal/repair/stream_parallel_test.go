@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"fixrule/internal/schema"
-	"fixrule/internal/store"
 )
 
 // skewedRelation builds a relation whose repairs are pathologically
@@ -56,15 +55,6 @@ func relationCSV(tb testing.TB, rel *schema.Relation) []byte {
 	return buf.Bytes()
 }
 
-func relationFrel(tb testing.TB, rel *schema.Relation) []byte {
-	tb.Helper()
-	var buf bytes.Buffer
-	if err := store.Write(&buf, rel); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // workerCounts is the satellite matrix: the degenerate single worker, odd
 // counts that leave remainder chunks, and oversubscription.
 func workerCounts() []int {
@@ -73,60 +63,43 @@ func workerCounts() []int {
 }
 
 // TestStreamCSVParallelByteIdentical: the golden property — for every
-// worker count the parallel stream's bytes and stats equal the sequential
-// stream's exactly.
+// worker count and chunk size, the stream's stats equal the in-memory
+// reference repair's, and its bytes equal the reference's rendering (CSV
+// out) or the sequential loop's at the same chunk size (fcol out, whose
+// frames follow the chunks).
 func TestStreamCSVParallelByteIdentical(t *testing.T) {
 	r := NewRepairer(paperRuleset())
 	in := relationCSV(t, skewedRelation(4000))
 
-	var seqOut bytes.Buffer
-	seqStats, err := r.StreamCSV(bytes.NewReader(in), &seqOut, Linear)
+	want, wantStats, err := referenceStream(r, in, Linear, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seqStats.Repaired == 0 || seqStats.Steps <= seqStats.Repaired {
-		t.Fatalf("workload not skewed as intended: %+v", seqStats)
+	if wantStats.Repaired == 0 || wantStats.Steps <= wantStats.Repaired {
+		t.Fatalf("workload not skewed as intended: %+v", wantStats)
 	}
-	for _, workers := range workerCounts() {
-		for _, chunkRows := range []int{0, 64, 1} {
-			var parOut bytes.Buffer
-			parStats, err := r.StreamCSVParallelOpts(context.Background(), bytes.NewReader(in), &parOut, Linear,
-				ParallelOptions{Workers: workers, ChunkRows: chunkRows})
-			if err != nil {
-				t.Fatalf("workers=%d chunk=%d: %v", workers, chunkRows, err)
+	for _, chunkRows := range []int{0, 64, 1} {
+		var seqFcol []byte
+		for _, workers := range workerCounts() {
+			for _, format := range []Format{CSV, Fcol} {
+				var out bytes.Buffer
+				stats, err := r.Stream(context.Background(), bytes.NewReader(in), &out, Linear,
+					StreamOptions{Out: format, Workers: workers, ChunkRows: chunkRows})
+				if err != nil {
+					t.Fatalf("%v out workers=%d chunk=%d: %v", format, workers, chunkRows, err)
+				}
+				if !reflect.DeepEqual(wantStats, stats) {
+					t.Errorf("%v out workers=%d chunk=%d: stats = %+v, want %+v", format, workers, chunkRows, stats, wantStats)
+				}
+				switch {
+				case format == CSV && !bytes.Equal(want, out.Bytes()):
+					t.Errorf("workers=%d chunk=%d: CSV bytes differ from reference", workers, chunkRows)
+				case format == Fcol && workers == 1:
+					seqFcol = out.Bytes()
+				case format == Fcol && !bytes.Equal(seqFcol, out.Bytes()):
+					t.Errorf("workers=%d chunk=%d: fcol bytes differ from the sequential loop's", workers, chunkRows)
+				}
 			}
-			if !bytes.Equal(seqOut.Bytes(), parOut.Bytes()) {
-				t.Errorf("workers=%d chunk=%d: output bytes differ from sequential", workers, chunkRows)
-			}
-			if !reflect.DeepEqual(seqStats, parStats) {
-				t.Errorf("workers=%d chunk=%d: stats = %+v, want %+v", workers, chunkRows, parStats, seqStats)
-			}
-		}
-	}
-}
-
-// TestStreamFrelParallelByteIdentical: same golden property on the binary
-// format (which additionally seals the stream with a checksum).
-func TestStreamFrelParallelByteIdentical(t *testing.T) {
-	r := NewRepairer(paperRuleset())
-	in := relationFrel(t, skewedRelation(2000))
-
-	var seqOut bytes.Buffer
-	seqStats, err := r.StreamFrel(bytes.NewReader(in), &seqOut, Linear)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range workerCounts() {
-		var parOut bytes.Buffer
-		parStats, err := r.StreamFrelParallel(context.Background(), bytes.NewReader(in), &parOut, Linear, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if !bytes.Equal(seqOut.Bytes(), parOut.Bytes()) {
-			t.Errorf("workers=%d: frel bytes differ from sequential", workers)
-		}
-		if !reflect.DeepEqual(seqStats, parStats) {
-			t.Errorf("workers=%d: stats = %+v, want %+v", workers, parStats, seqStats)
 		}
 	}
 }
@@ -155,7 +128,7 @@ func TestRepairRelationParallelSkewed(t *testing.T) {
 	}
 }
 
-// TestParallelSharedRepairerRace drives StreamCSVParallel and
+// TestParallelSharedRepairerRace drives Stream and
 // RepairRelationParallel concurrently against one shared Repairer — the
 // scratch pool, dictionaries and inverted lists are shared state — and
 // checks every interleaving still produces the sequential answer. Run
@@ -165,8 +138,7 @@ func TestParallelSharedRepairerRace(t *testing.T) {
 	rel := skewedRelation(2000)
 	in := relationCSV(t, rel)
 
-	var seqOut bytes.Buffer
-	seqStats, err := r.StreamCSV(bytes.NewReader(in), &seqOut, Linear)
+	seqOut, seqStats, err := referenceStream(r, in, Linear, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,11 +152,11 @@ func TestParallelSharedRepairerRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			var out bytes.Buffer
-			stats, err := r.StreamCSVParallel(context.Background(), bytes.NewReader(in), &out, Linear, workers)
+			stats, err := r.Stream(context.Background(), bytes.NewReader(in), &out, Linear, StreamOptions{Workers: workers})
 			switch {
 			case err != nil:
 				errc <- fmt.Errorf("stream workers=%d: %w", workers, err)
-			case !bytes.Equal(seqOut.Bytes(), out.Bytes()):
+			case !bytes.Equal(seqOut, out.Bytes()):
 				errc <- fmt.Errorf("stream workers=%d: bytes differ", workers)
 			case !reflect.DeepEqual(seqStats, stats):
 				errc <- fmt.Errorf("stream workers=%d: stats %+v != %+v", workers, stats, seqStats)
@@ -211,109 +183,99 @@ func TestParallelSharedRepairerRace(t *testing.T) {
 	}
 }
 
-// TestStreamCSVParallelCancelled: a dead context stops the pipeline between
-// chunks with the same errors.Is-compatible cause as the sequential path.
+// TestStreamCSVParallelCancelled: a dead context stops the pipeline
+// between chunks with an errors.Is-compatible cause, on the sequential
+// loop and the worker pool alike.
 func TestStreamCSVParallelCancelled(t *testing.T) {
 	r := NewRepairer(paperRuleset())
 	in := relationCSV(t, skewedRelation(2000))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	var out bytes.Buffer
-	_, err := r.StreamCSVParallel(ctx, bytes.NewReader(in), &out, Linear, 0)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	for _, workers := range []int{1, 0} {
+		var out bytes.Buffer
+		_, err := r.Stream(ctx, bytes.NewReader(in), &out, Linear, StreamOptions{Workers: workers})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
 	}
 }
 
-// TestStreamFrelContextCancelled: the new context-bounded frel stream
-// reports the cancellation cause like the CSV one.
-func TestStreamFrelContextCancelled(t *testing.T) {
-	r := NewRepairer(paperRuleset())
-	in := relationFrel(t, skewedRelation(500))
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var out bytes.Buffer
-	_, err := r.StreamFrelContext(ctx, bytes.NewReader(in), &out, Linear)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if _, err := r.StreamFrelContext(context.Background(), bytes.NewReader(in), &out, Linear); err != nil {
-		t.Fatalf("background context: %v", err)
-	}
-}
-
-// TestStreamCSVParallelRowError: a malformed row surfaces as the same
-// row-numbered stream error the sequential path reports, and the rows
-// before it are still emitted.
+// TestStreamCSVParallelRowError: a malformed row surfaces as a
+// row-numbered stream error at any worker count.
 func TestStreamCSVParallelRowError(t *testing.T) {
 	r := NewRepairer(paperRuleset())
 	in := "name,country,capital,city,conf\n" +
 		"Ian,China,Shanghai,Hongkong,ICDE\n" +
 		"broken,row\n"
-	var out bytes.Buffer
-	_, err := r.StreamCSVParallel(context.Background(), strings.NewReader(in), &out, Linear, 2)
-	if err == nil || !strings.Contains(err.Error(), "stream row 2") {
-		t.Fatalf("err = %v, want row 2 stream error", err)
+	for _, workers := range []int{1, 2} {
+		var out bytes.Buffer
+		_, err := r.Stream(context.Background(), strings.NewReader(in), &out, Linear,
+			StreamOptions{Workers: workers, ChunkRows: 1})
+		if err == nil || !strings.Contains(err.Error(), "stream row 2") {
+			t.Fatalf("workers=%d: err = %v, want row 2 stream error", workers, err)
+		}
 	}
 }
 
 // TestStreamCSVStripsBOM: a UTF-8 BOM must not glue onto the first header
 // field (regression: the header check used to fail with a confusing
-// `field 0 is "name"`). Output carries no BOM, so BOM and BOM-less inputs repair
-// to identical bytes — on both the sequential and parallel paths.
+// `field 0 is "name"`). Output carries no BOM, so BOM and BOM-less inputs
+// repair to identical bytes — on the sequential loop and the worker pool.
 func TestStreamCSVStripsBOM(t *testing.T) {
 	r := NewRepairer(paperRuleset())
 	plain := "name,country,capital,city,conf\nIan,China,Shanghai,Hongkong,ICDE\n"
 	bom := "\xEF\xBB\xBF" + plain
 
 	var wantOut bytes.Buffer
-	wantStats, err := r.StreamCSV(strings.NewReader(plain), &wantOut, Linear)
+	wantStats, err := r.Stream(context.Background(), strings.NewReader(plain), &wantOut, Linear, StreamOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var seqOut bytes.Buffer
-	seqStats, err := r.StreamCSV(strings.NewReader(bom), &seqOut, Linear)
-	if err != nil {
-		t.Fatalf("sequential stream rejected BOM input: %v", err)
-	}
-	if !bytes.Equal(wantOut.Bytes(), seqOut.Bytes()) || !reflect.DeepEqual(wantStats, seqStats) {
-		t.Error("BOM input repaired differently from plain input")
-	}
-	var parOut bytes.Buffer
-	if _, err := r.StreamCSVParallel(context.Background(), strings.NewReader(bom), &parOut, Linear, 2); err != nil {
-		t.Fatalf("parallel stream rejected BOM input: %v", err)
-	}
-	if !bytes.Equal(wantOut.Bytes(), parOut.Bytes()) {
-		t.Error("parallel BOM output differs")
+	for _, workers := range []int{1, 2} {
+		var out bytes.Buffer
+		stats, err := r.Stream(context.Background(), strings.NewReader(bom), &out, Linear, StreamOptions{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: BOM input rejected: %v", workers, err)
+		}
+		if !bytes.Equal(wantOut.Bytes(), out.Bytes()) || !reflect.DeepEqual(wantStats, stats) {
+			t.Errorf("workers=%d: BOM input repaired differently from plain input", workers)
+		}
 	}
 	// A BOM alone must not mask a genuinely wrong header.
 	bad := "\xEF\xBB\xBFwrong,country,capital,city,conf\n"
-	if _, err := r.StreamCSV(strings.NewReader(bad), io.Discard, Linear); err == nil ||
+	if _, err := r.Stream(context.Background(), strings.NewReader(bad), io.Discard, Linear, StreamOptions{}); err == nil ||
 		!strings.Contains(err.Error(), `field 0 is "wrong"`) {
 		t.Errorf("bad header after BOM: err = %v", err)
 	}
 }
 
-// TestStreamCSVAllocsPerRow pins the sequential hot loop's allocation
-// budget: with ReuseRecord the csv.Reader reuses its record slice, leaving
-// roughly one allocation per row (the record's string backing). Without
-// the flag this measures ~2×.
+// TestStreamCSVAllocsPerRow pins the stream's allocation budget on
+// high-cardinality input (every row carries a distinct name): the raw
+// engine codes cell bytes straight into Σ's vocabulary and re-emits clean
+// rows as spans of the chunk buffer, so once the chunk units have grown,
+// more rows cost no more allocations. The budget is on the marginal cost
+// of a row — doubling the input — so the fixed setup (the worker pool's
+// units included) does not count.
 func TestStreamCSVAllocsPerRow(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector adds allocations")
 	}
 	r := NewRepairer(paperRuleset())
-	const rows = 2000
-	in := relationCSV(t, skewedRelation(rows))
-	avg := testing.AllocsPerRun(5, func() {
-		if _, err := r.StreamCSV(bytes.NewReader(in), io.Discard, Linear); err != nil {
-			t.Fatal(err)
+	const rows = 4000
+	small := relationCSV(t, skewedRelation(rows))
+	large := relationCSV(t, skewedRelation(2*rows))
+	for _, workers := range []int{1, 2} {
+		allocs := func(in []byte) float64 {
+			return testing.AllocsPerRun(5, func() {
+				if _, err := r.Stream(context.Background(), bytes.NewReader(in), io.Discard, Linear, StreamOptions{Workers: workers}); err != nil {
+					t.Fatal(err)
+				}
+			})
 		}
-	})
-	// 1 alloc/row for field backing plus a fixed setup overhead (readers,
-	// writer, stats); 1.5/row holds comfortably after the fix and fails
-	// loudly if per-row slice churn ever returns.
-	if avg > rows*1.5 {
-		t.Errorf("StreamCSV allocations = %.0f for %d rows (%.2f/row), want ≤ 1.5/row", avg, rows, avg/rows)
+		a1, a2 := allocs(small), allocs(large)
+		if perRow := (a2 - a1) / rows; perRow > 0.01 {
+			t.Errorf("workers=%d: Stream allocations = %.0f for %d rows, %.0f for %d (%.3f per extra row), want ≤ 0.01",
+				workers, a1, rows, a2, 2*rows, perRow)
+		}
 	}
 }

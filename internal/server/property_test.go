@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"fixrule/internal/repair"
+	"fixrule/internal/schema"
 )
 
 // TestMetricsMatchGroundTruth is the property tying the observability
@@ -49,21 +50,31 @@ func TestMetricsMatchGroundTruth(t *testing.T) {
 		t.Fatalf("status = %d, body %q", resp.StatusCode, served)
 	}
 
-	// Ground truth: a fresh Repairer over the same ruleset and input.
+	// Ground truth: a fresh Repairer's in-memory repair of the same input.
 	rep, err := repair.NewRepairerChecked(s.Ruleset())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var direct strings.Builder
-	want, err := rep.StreamCSV(strings.NewReader(input), &direct, repair.Linear)
+	rel, err := schema.ReadCSV(strings.NewReader(input), s.Ruleset().Schema())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want.Rows != rows {
-		t.Fatalf("ground truth rows = %d", want.Rows)
+	if rel.Len() != rows {
+		t.Fatalf("ground truth rows = %d", rel.Len())
+	}
+	res := rep.RepairRelation(rel, repair.Linear)
+	var direct strings.Builder
+	if err := schema.WriteCSV(&direct, res.Relation); err != nil {
+		t.Fatal(err)
+	}
+	want := repair.StreamStats{Rows: rel.Len(), Steps: res.Steps, OOV: res.OOV}
+	for i, c := range res.Changed {
+		if i == 0 || res.Changed[i-1].Row != c.Row {
+			want.Repaired++
+		}
 	}
 	if direct.String() != string(served) {
-		t.Error("served CSV differs from direct StreamCSV output")
+		t.Error("served CSV differs from the in-memory repair")
 	}
 
 	resp, err = http.Get(srv.URL + "/stats")

@@ -22,10 +22,9 @@
 //	POST /repair       JSON {"tuples": [[...], ...]} → repaired tuples + steps
 //	POST /repair/csv   CSV stream in (header must match schema), CSV out;
 //	                   Content-Type application/x-fcol switches the body to
-//	                   the columnar frame format (response follows), Accept
-//	                   application/x-fcol requests columnar output for a CSV
-//	                   body, and ?engine=columnar selects the batch engine
-//	                   for CSV-to-CSV (identical bytes, higher throughput)
+//	                   the columnar frame format (response follows), and
+//	                   Accept application/x-fcol requests columnar output
+//	                   for a CSV body
 //	POST /explain      JSON {"tuple": [...]} → repair provenance
 //	POST /reload       reload the ruleset through the configured loader
 //
@@ -91,8 +90,8 @@ type Config struct {
 	// into streaming repair; <= 0 selects 60s.
 	RequestTimeout time.Duration
 	// StreamWorkers sets the worker count for POST /repair/csv: values > 1
-	// run the pipelined parallel stream (identical bytes and stats, higher
-	// throughput on multi-core hosts); <= 1 keeps the sequential loop. The
+	// run the stream's worker pool (identical bytes and stats, higher
+	// throughput on multi-core hosts); <= 1 runs its sequential loop. The
 	// fixserve -stream-workers flag maps here; 0 on that flag resolves to
 	// GOMAXPROCS before it reaches this struct.
 	StreamWorkers int
@@ -473,20 +472,12 @@ func (s *Server) handleRepairCSV(w http.ResponseWriter, r *http.Request, eng *en
 	}
 	// Content negotiation: an application/x-fcol body streams the columnar
 	// frame format and the response mirrors it; a CSV body with Accept:
-	// application/x-fcol converts to columnar on the way out; ?engine=
-	// columnar selects the batch engine for plain CSV-to-CSV.
+	// application/x-fcol converts to columnar on the way out.
 	inFcol := mediaType(r.Header.Get("Content-Type")) == store.ColumnarContentType
 	accept := r.Header.Get("Accept")
 	// A columnar body is answered in kind; an Accept header that names
 	// neither the columnar type nor a wildcard refuses that.
 	outFcol := acceptsColumnar(accept) || (inFcol && (accept == "" || acceptsAny(accept)))
-	engineSel := r.URL.Query().Get("engine")
-	switch engineSel {
-	case "", "row", "columnar":
-	default:
-		s.writeError(w, http.StatusBadRequest, codeBadFormat, "unknown engine (want row or columnar)")
-		return
-	}
 	if inFcol && !outFcol {
 		s.writeError(w, http.StatusNotAcceptable, codeBadFormat,
 			"columnar request bodies are answered in kind; accept application/x-fcol")
@@ -512,29 +503,19 @@ func (s *Server) handleRepairCSV(w http.ResponseWriter, r *http.Request, eng *en
 	if sp.Sampled() {
 		rec = repair.NewChaseRecorder(0, 1, 0)
 	}
-	workers := s.cfg.StreamWorkers
-	if workers < 1 {
-		workers = 1
-	}
-	opts := repair.ParallelOptions{
-		Workers:     workers,
+	opts := repair.StreamOptions{
+		Workers:     max(s.cfg.StreamWorkers, 1),
 		QueueDepth:  s.m.streamQueue,
 		BusyWorkers: s.m.streamBusy,
 		Recorder:    rec,
 	}
-	var stats *repair.StreamStats
-	switch {
-	case inFcol:
-		stats, err = eng.rep.StreamColumnar(r.Context(), r.Body, w, alg, opts)
-	case outFcol:
-		stats, err = eng.rep.StreamCSVToColumnar(r.Context(), r.Body, w, alg, opts)
-	case engineSel == "columnar":
-		stats, err = eng.rep.StreamCSVColumnar(r.Context(), r.Body, w, alg, opts)
-	case s.cfg.StreamWorkers > 1:
-		stats, err = eng.rep.StreamCSVParallelOpts(r.Context(), r.Body, w, alg, opts)
-	default:
-		stats, err = eng.rep.StreamCSVTraced(r.Context(), r.Body, w, alg, rec)
+	if inFcol {
+		opts.In = repair.Fcol
 	}
+	if outFcol {
+		opts.Out = repair.Fcol
+	}
+	stats, err := eng.rep.Stream(r.Context(), r.Body, w, alg, opts)
 	if err != nil {
 		// The stream may be partially flushed; in that case the envelope
 		// still reaches the client as trailing body content, which is the
@@ -661,7 +642,7 @@ func (s *Server) badBody(w http.ResponseWriter, err error) {
 	s.writeError(w, http.StatusBadRequest, codeBadJSON, "bad request: "+err.Error())
 }
 
-// streamError maps a StreamCSVContext failure to the envelope.
+// streamError maps a Stream failure to the envelope.
 func (s *Server) streamError(w http.ResponseWriter, err error) {
 	var tooLarge *http.MaxBytesError
 	switch {

@@ -194,10 +194,10 @@ func TestRepairCSVEndpoint(t *testing.T) {
 }
 
 // TestRepairCSVColumnarNegotiation exercises the /repair/csv content
-// negotiation: the columnar batch engine for CSV-to-CSV must be
-// byte-identical to the row engine, an Accept of application/x-fcol must
-// switch the response to columnar frames, a columnar body must round-trip,
-// and the rejection paths must carry their status codes.
+// negotiation: CSV in gives the repaired CSV out, an Accept of
+// application/x-fcol must switch the response to columnar frames, a
+// columnar body must round-trip, and the rejection path must carry its
+// status code.
 func TestRepairCSVColumnarNegotiation(t *testing.T) {
 	srv := testServer(t)
 	csvIn := "name,country,capital,city,conf\n" +
@@ -225,17 +225,19 @@ func TestRepairCSVColumnarNegotiation(t *testing.T) {
 		return resp, data
 	}
 
-	// CSV in, CSV out: batch engine must match the row engine byte for byte.
-	rowResp, rowBody := post("/repair/csv", "text/csv", "", csvIn)
-	colResp, colBody := post("/repair/csv?engine=columnar", "text/csv", "", csvIn)
-	if rowResp.StatusCode != http.StatusOK || colResp.StatusCode != http.StatusOK {
-		t.Fatalf("status row=%d columnar=%d", rowResp.StatusCode, colResp.StatusCode)
-	}
-	if string(rowBody) != string(colBody) {
-		t.Errorf("columnar engine output differs:\nrow:\n%scolumnar:\n%s", rowBody, colBody)
-	}
-	if !strings.Contains(string(colBody), "Ian,China,Beijing,Shanghai,ICDE") {
-		t.Errorf("columnar body lacks repaired row:\n%s", colBody)
+	// CSV in, CSV out. The retired engine parameter is not read: a stale
+	// one changes nothing.
+	wantCSV := "name,country,capital,city,conf\n" +
+		"Ian,China,Beijing,Shanghai,ICDE\n" +
+		"Ann,Canada,Ottawa,Ottawa,SIGMOD\n"
+	for _, path := range []string{"/repair/csv", "/repair/csv?engine=quantum"} {
+		resp, body := post(path, "text/csv", "", csvIn)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status = %d: %s", path, resp.StatusCode, body)
+		}
+		if string(body) != wantCSV {
+			t.Errorf("%s: body =\n%swant\n%s", path, body, wantCSV)
+		}
 	}
 
 	// CSV in, columnar out.
@@ -280,12 +282,6 @@ func TestRepairCSVColumnarNegotiation(t *testing.T) {
 	resp, _ = post("/repair/csv", store.ColumnarContentType, "text/csv", string(fcolBody))
 	if resp.StatusCode != http.StatusNotAcceptable {
 		t.Errorf("fcol-to-csv status = %d, want 406", resp.StatusCode)
-	}
-
-	// Unknown engine parameter.
-	resp, _ = post("/repair/csv?engine=quantum", "text/csv", "", csvIn)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad engine status = %d, want 400", resp.StatusCode)
 	}
 }
 

@@ -182,7 +182,7 @@ func TestCSVChunkRendererByteIdentical(t *testing.T) {
 	} {
 		data := writeCSV(t, rel)
 		// The reference is what a csv.Reader → csv.Writer pass over the
-		// bytes produces (the existing StreamCSV data path).
+		// bytes produces (the in-memory repair path's codecs).
 		want := roundTripCSV(t, data, rel.Schema().Arity())
 		cr, header, err := NewCSVChunkReader(bytes.NewReader(data), rel.Schema().Arity())
 		if err != nil {
@@ -391,5 +391,34 @@ func TestInternTableOverflow(t *testing.T) {
 	tbl.add(&col2, []byte{0, 0, 0, 'x'}, 2)
 	if len(col2.Dict) != 1 || len(col2.Codes) != 2 {
 		t.Fatalf("dedup failed: dict %d codes %d", len(col2.Dict), len(col2.Codes))
+	}
+}
+
+// TestSWARMatchExact checks the word-at-a-time byte matcher against a
+// byte loop, on random words and on runs of b, b+1 and b-1, whose borrows
+// and carries fooled the shorter zero-lane test.
+func TestSWARMatchExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, b := range []byte{',', '"', '\r', 0x00, 0x7F, 0x80, 0xFF} {
+		near := []byte{b, b + 1, b - 1, 0x00, 0x80}
+		for i := 0; i < 20000; i++ {
+			var w uint64
+			for lane := 0; lane < 8; lane++ {
+				v := byte(rng.Intn(256))
+				if i%2 == 0 {
+					v = near[rng.Intn(len(near))]
+				}
+				w |= uint64(v) << (8 * lane)
+			}
+			var want uint64
+			for lane := 0; lane < 8; lane++ {
+				if byte(w>>(8*lane)) == b {
+					want |= 0x80 << (8 * lane)
+				}
+			}
+			if got := swarMatch(w, b); got != want {
+				t.Fatalf("swarMatch(%#016x, %#02x) = %#016x, want %#016x", w, b, got, want)
+			}
+		}
 	}
 }

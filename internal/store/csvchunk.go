@@ -331,9 +331,11 @@ type CSVChunkReader struct {
 	err      error
 	epoch    int32
 	cols     []internTable
-	// slow-path scratch: decoded field bytes and per-field end offsets
-	dec  []byte
-	ends []int32
+	// slow-path scratch: decoded field bytes, per-field end offsets, and
+	// the field views handed back
+	dec    []byte
+	ends   []int32
+	fields [][]byte
 }
 
 // NewCSVChunkReader strips an optional UTF-8 BOM, reads the header record
@@ -542,13 +544,13 @@ record:
 		}
 		rest = rest[1:]
 	}
-	r.dec, r.ends = dec, ends
-	fields := make([][]byte, len(ends))
+	fields := r.fields[:0]
 	prev := int32(0)
-	for i, e := range ends {
-		fields[i] = dec[prev:e]
+	for _, e := range ends {
+		fields = append(fields, dec[prev:e])
 		prev = e
 	}
+	r.dec, r.ends, r.fields = dec, ends, fields
 	return fields, nil
 }
 

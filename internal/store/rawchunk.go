@@ -153,19 +153,22 @@ func (r *CSVChunkReader) ReadRawChunk(c *RawChunk, maxRows int) (int, error) {
 	return rows, nil
 }
 
-// swarOnes spreads a byte across a 64-bit word; swarHi marks each lane's
-// high bit. swarMatch uses the classic zero-in-word trick: subtracting 1
-// from a zeroed lane borrows into its high bit.
+// swarOnes spreads a byte across a 64-bit word; swarLow masks each lane's
+// low seven bits.
 const (
 	swarOnes = 0x0101010101010101
-	swarHi   = 0x8080808080808080
+	swarLow  = 0x7F7F7F7F7F7F7F7F
 )
 
-// swarMatch returns a word with the high bit set in every byte of w equal
-// to b (b must be ASCII).
+// swarMatch returns a word with the high bit set in exactly the bytes of
+// w equal to b. After the XOR a matching lane is zero; adding 0x7F to a
+// lane's low seven bits sets its high bit unless all seven are zero, and
+// never carries into the next lane. (The shorter (x-0x01…)&^x&0x80… test
+// is not exact per lane: its borrow also marks a 0x01 lane above a zero
+// one, such as a "-" right after a ",".)
 func swarMatch(w uint64, b byte) uint64 {
 	x := w ^ (swarOnes * uint64(b))
-	return (x - swarOnes) &^ x & swarHi
+	return ^((x&swarLow + swarLow) | x | swarLow)
 }
 
 // tzBytes converts a swarMatch mask to the byte index of its lowest hit.

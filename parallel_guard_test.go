@@ -63,8 +63,8 @@ func TestParallelRepairNotSlower(t *testing.T) {
 	}
 }
 
-// TestParallelStreamNotSlower applies the same tripwire to the pipelined
-// streaming engine against the sequential stream loop.
+// TestParallelStreamNotSlower applies the same tripwire to Repairer.Stream:
+// the worker pool at GOMAXPROCS against the sequential loop (Workers: 1).
 func TestParallelStreamNotSlower(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation distorts timing comparisons")
@@ -84,14 +84,16 @@ func TestParallelStreamNotSlower(t *testing.T) {
 	in := csvIn.Bytes()
 	seq := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := rep.StreamCSV(bytes.NewReader(in), io.Discard, repair.Linear); err != nil {
+			if _, err := rep.Stream(context.Background(), bytes.NewReader(in), io.Discard, repair.Linear,
+				repair.StreamOptions{Workers: 1}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	par := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := rep.StreamCSVParallel(context.Background(), bytes.NewReader(in), io.Discard, repair.Linear, 0); err != nil {
+			if _, err := rep.Stream(context.Background(), bytes.NewReader(in), io.Discard, repair.Linear,
+				repair.StreamOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -103,7 +105,7 @@ func TestParallelStreamNotSlower(t *testing.T) {
 	// The stream pays CSV parse + write on top of repair, so parity is the
 	// floor, not 2×; the same 0.90 noise margin applies.
 	if speedup < 0.90 {
-		t.Errorf("PARALLEL STREAM REGRESSION: StreamCSVParallel is %.2fx the sequential stream rate "+
+		t.Errorf("PARALLEL STREAM REGRESSION: the parallel stream is %.2fx the sequential stream rate "+
 			"(sequential %d ns/op vs parallel %d ns/op at GOMAXPROCS=%d)",
 			speedup, seqNs, parNs, runtime.GOMAXPROCS(0))
 	}
