@@ -67,12 +67,23 @@ func rootAttr(tr *trace.Trace, key string) string {
 	return ""
 }
 
+// handleTraces serves GET /debug/traces and /debug/traces/{id} over every
+// retained trace.
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request, _ *engine) {
+	s.serveTraces(w, r, strings.TrimPrefix(r.URL.Path, "/debug/traces"), "")
+}
+
+// serveTraces answers GET {prefix}/debug/traces{rest}: the listing for an
+// empty rest, else the trace rest names. A non-empty tenant scopes both
+// views to that tenant's traces.
+func (s *Server) serveTraces(w http.ResponseWriter, r *http.Request, rest, tenant string) {
 	if r.Method != http.MethodGet {
 		s.methodNotAllowed(w, http.MethodGet)
-		return
+	} else if id, ok := strings.CutPrefix(rest, "/"); ok {
+		s.writeTraceDetail(w, id, tenant)
+	} else {
+		s.writeTraceList(w, r, tenant)
 	}
-	s.writeTraceList(w, r, "")
 }
 
 // writeTraceList renders the trace listing. A non-empty tenant restricts
@@ -124,15 +135,6 @@ func (s *Server) writeTraceList(w http.ResponseWriter, r *http.Request, tenant s
 	writeJSON(w, struct {
 		Traces []traceSummary `json:"traces"`
 	}{Traces: out})
-}
-
-func (s *Server) handleTraceByID(w http.ResponseWriter, r *http.Request, _ *engine) {
-	if r.Method != http.MethodGet {
-		s.methodNotAllowed(w, http.MethodGet)
-		return
-	}
-	id := strings.TrimPrefix(r.URL.Path, "/debug/traces/")
-	s.writeTraceDetail(w, id, "")
 }
 
 // writeTraceDetail renders one trace's span tree. A non-empty tenant

@@ -9,12 +9,12 @@ import (
 )
 
 // handleMetrics serves the metrics exposition: the registry's counters,
-// gauges and the latency histogram, plus a ruleset info series whose
-// labels carry the current version and hash. Scrapers that negotiate
-// application/openmetrics-text (Prometheus does by default) get the
-// OpenMetrics rendering — trace-ID exemplars on the latency buckets,
-// `# EOF` terminator; everyone else gets the classic 0.0.4 text format,
-// which cannot legally carry exemplars.
+// gauges and the latency histogram, plus — when a default ruleset is
+// served — a ruleset info series whose labels carry its version and hash.
+// Scrapers that negotiate application/openmetrics-text (Prometheus does by
+// default) get the OpenMetrics rendering — trace-ID exemplars on the
+// latency buckets, `# EOF` terminator; everyone else gets the classic
+// 0.0.4 text format, which cannot legally carry exemplars.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, eng *engine) {
 	if r.Method != http.MethodGet {
 		s.methodNotAllowed(w, http.MethodGet)
@@ -28,10 +28,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request, eng *engi
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		s.reg.WritePrometheus(w)
 	}
-	fmt.Fprintf(w, "# HELP fixserve_ruleset_info Served ruleset identity; value is always 1.\n"+
-		"# TYPE fixserve_ruleset_info gauge\n"+
-		"fixserve_ruleset_info{version=%q,hash=%q} 1\n",
-		fmt.Sprint(eng.version), eng.hash)
+	if eng != nil {
+		fmt.Fprintf(w, "# HELP fixserve_ruleset_info Served ruleset identity; value is always 1.\n"+
+			"# TYPE fixserve_ruleset_info gauge\n"+
+			"fixserve_ruleset_info{version=%q,hash=%q} 1\n",
+			fmt.Sprint(eng.version), eng.hash)
+	}
 	if om {
 		io.WriteString(w, "# EOF\n")
 	}
@@ -48,13 +50,14 @@ func acceptsOpenMetrics(accept string) bool {
 // serverStatsResponse is the /stats payload: the operational counters in
 // JSON form, with latency quantiles derived from the histogram. RequestID
 // identifies this /stats request itself, so a scraped snapshot can be
-// matched to the server log that surrounds it.
+// matched to the server log that surrounds it. The ruleset fields are
+// omitted on a node without a default ruleset.
 type serverStatsResponse struct {
 	RequestID      string           `json:"request_id,omitempty"`
-	RulesetVersion int64            `json:"ruleset_version"`
-	RulesetHash    string           `json:"ruleset_hash"`
-	Rules          int              `json:"rules"`
-	LoadedAt       time.Time        `json:"loaded_at"`
+	RulesetVersion int64            `json:"ruleset_version,omitempty"`
+	RulesetHash    string           `json:"ruleset_hash,omitempty"`
+	Rules          int              `json:"rules,omitempty"`
+	LoadedAt       *time.Time       `json:"loaded_at,omitempty"`
 	Requests       map[string]int64 `json:"requests"`
 	Shed           int64            `json:"shed"`
 	InFlight       int64            `json:"in_flight"`
@@ -76,10 +79,6 @@ func (s *Server) handleServerStats(w http.ResponseWriter, r *http.Request, eng *
 	}
 	resp := serverStatsResponse{
 		RequestID:      w.Header().Get(RequestIDHeader),
-		RulesetVersion: eng.version,
-		RulesetHash:    eng.hash,
-		Rules:          eng.rep.Ruleset().Len(),
-		LoadedAt:       eng.loadedAt,
 		Requests:       make(map[string]int64, len(s.m.requests)),
 		Shed:           s.m.shed.Load(),
 		InFlight:       s.m.inflight.Load(),
@@ -92,6 +91,10 @@ func (s *Server) handleServerStats(w http.ResponseWriter, r *http.Request, eng *
 		LatencyP50Ms:   s.m.latency.Quantile(0.50) * 1000,
 		LatencyP95Ms:   s.m.latency.Quantile(0.95) * 1000,
 		LatencyP99Ms:   s.m.latency.Quantile(0.99) * 1000,
+	}
+	if eng != nil {
+		resp.RulesetVersion, resp.RulesetHash = eng.version, eng.hash
+		resp.Rules, resp.LoadedAt = eng.rep.Ruleset().Len(), &eng.loadedAt
 	}
 	for ep, c := range s.m.requests {
 		resp.Requests[ep] = c.Load()

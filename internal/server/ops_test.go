@@ -344,7 +344,7 @@ func TestReloadEndpoint(t *testing.T) {
 	if capital, v := repairCapital(); capital != "Beijing" || v != "1" {
 		t.Fatalf("pre-reload: capital %q version %s", capital, v)
 	}
-	hash1 := s.eng.Load().hash
+	hash1 := s.def.eng.Load().hash
 
 	resp, err := http.Post(srv.URL+"/reload", "", nil)
 	if err != nil {
@@ -412,7 +412,7 @@ func TestReloadRejectsBadRuleset(t *testing.T) {
 	if code := decodeEnvelope(t, resp); code != codeInconsistent {
 		t.Errorf("code = %q", code)
 	}
-	if v := s.eng.Load().version; v != 1 {
+	if v := s.def.eng.Load().version; v != 1 {
 		t.Errorf("failed reloads bumped version to %d", v)
 	}
 	resp, err = http.Get(srv.URL + "/stats")

@@ -3,9 +3,9 @@ package server
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
-
-	"fixrule/internal/repair"
+	"strconv"
 )
 
 // ErrNoLoader is returned by Reload when the server was built without a
@@ -32,36 +32,37 @@ type RulesetInfo struct {
 	Rules   int    `json:"rules"`
 }
 
-// Reload fetches a fresh ruleset through the configured loader, verifies
-// its consistency (the precondition both repair algorithms need for
-// deterministic fixes), compiles a new repairer, and swaps it in
+// Reload fetches a fresh default ruleset through the configured loader,
+// verifies its consistency (the precondition both repair algorithms need
+// for deterministic fixes), compiles a new repairer, and swaps it in
 // atomically. In-flight requests keep the engine they snapshotted and
 // finish on the old ruleset; the next request sees the new one. A failed
-// reload leaves the served ruleset untouched.
+// reload leaves the served ruleset untouched. Concurrent reloads run one
+// at a time, so versions follow loader calls in order.
 func (s *Server) Reload() (RulesetInfo, error) {
-	if s.cfg.Loader == nil {
+	if s.def == nil {
 		return RulesetInfo{}, ErrNoLoader
 	}
-	// Serialising reloads keeps version numbers 1:1 with loader calls.
-	s.reloadMu.Lock()
-	defer s.reloadMu.Unlock()
-	rs, err := s.cfg.Loader()
+	eng, err := s.def.reload()
+	s.countReload(err)
 	if err != nil {
-		s.m.reloadFail.Inc()
-		return RulesetInfo{}, &ReloadError{Stage: "load", Err: err}
+		return RulesetInfo{}, err
 	}
-	rep, err := repair.NewRepairerChecked(rs)
-	if err != nil {
-		s.m.reloadFail.Inc()
-		return RulesetInfo{}, &ReloadError{Stage: "consistency", Err: err}
-	}
-	eng := newEngine(rep, s.eng.Load().version+1)
-	s.eng.Store(eng)
-	s.m.reloads.Inc()
-	s.m.version.Set(eng.version)
+	info := eng.info()
 	s.cfg.Logger.Info("ruleset reloaded",
-		"version", eng.version, "hash", eng.hash, "rules", rs.Len())
-	return RulesetInfo{Version: eng.version, Hash: eng.hash, Rules: rs.Len()}, nil
+		"version", info.Version, "hash", info.Hash, "rules", info.Rules)
+	return info, nil
+}
+
+// countReload feeds one reload's outcome into the service-wide reload
+// counters; a server without a loader has nothing to count.
+func (s *Server) countReload(err error) {
+	switch {
+	case err == nil:
+		s.m.reloads.Inc()
+	case !errors.Is(err, ErrNoLoader):
+		s.m.reloadFail.Inc()
+	}
 }
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request, _ *engine) {
@@ -71,26 +72,43 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request, _ *engine)
 	}
 	info, err := s.Reload()
 	if err != nil {
-		var re *ReloadError
-		switch {
-		case errors.Is(err, ErrNoLoader):
-			s.writeError(w, http.StatusNotImplemented, codeReloadDisabled,
-				"this server was started without a reloadable rule source")
-		case errors.As(err, &re) && re.Stage == "consistency":
-			// The conflict description names rules, never paths — the
-			// operator posting /reload needs it to fix the ruleset.
-			s.writeError(w, http.StatusUnprocessableEntity, codeInconsistent,
-				//fix:allow errcode: the conflict text names rules from the operator's own posted ruleset, never paths
-				fmt.Sprintf("new ruleset rejected: %v", re.Err))
-		default:
-			// Loader errors may carry file paths; log the detail, return
-			// the code alone.
-			s.cfg.Logger.Error("reload failed",
-				"request_id", w.Header().Get(RequestIDHeader), "err", err)
-			s.writeError(w, http.StatusInternalServerError, codeReloadFailed,
-				"reloading the ruleset failed; see server log")
-		}
+		s.loadError(w, "", err)
 		return
 	}
 	writeJSON(w, info)
+}
+
+// loadError maps a failed scope load onto the envelope; tenant is "" for
+// the default ruleset. An inconsistent ruleset is 422 on both surfaces
+// (the conflict text names only the scope's own rules, never paths); a
+// missing loader is 501 and an unknown tenant 404. Anything else —
+// typically a loader I/O failure whose detail may reference server-side
+// paths — is logged and answered 500 with the code alone.
+func (s *Server) loadError(w http.ResponseWriter, tenant string, err error) {
+	var re *ReloadError
+	reqID := w.Header().Get(RequestIDHeader)
+	switch {
+	case errors.Is(err, ErrNoLoader):
+		s.writeError(w, http.StatusNotImplemented, codeReloadDisabled,
+			"this server was started without a reloadable rule source")
+	case tenant != "" && errors.Is(err, fs.ErrNotExist):
+		s.writeError(w, http.StatusNotFound, codeUnknownTenant,
+			"unknown tenant "+strconv.Quote(tenant))
+	case errors.As(err, &re) && re.Stage == "consistency":
+		what := "new ruleset"
+		if tenant != "" {
+			what = "tenant ruleset"
+		}
+		s.writeError(w, http.StatusUnprocessableEntity, codeInconsistent,
+			//fix:allow errcode: the conflict text names rules from the scope's own ruleset, never paths
+			fmt.Sprintf("%s rejected: %v", what, re.Err))
+	case tenant == "":
+		s.cfg.Logger.Error("reload failed", "request_id", reqID, "err", err)
+		s.writeError(w, http.StatusInternalServerError, codeReloadFailed,
+			"reloading the ruleset failed; see server log")
+	default:
+		s.cfg.Logger.Error("tenant load failed", "tenant", tenant, "request_id", reqID, "err", err)
+		s.writeError(w, http.StatusInternalServerError, codeTenantLoadFailed,
+			"loading the tenant ruleset failed; see server log")
+	}
 }

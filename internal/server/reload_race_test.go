@@ -141,7 +141,7 @@ func TestReloadRepairRace(t *testing.T) {
 
 	// Every loader call installed exactly one version.
 	wantVersion := calls.Load() + 1
-	if v := s.eng.Load().version; v != wantVersion {
+	if v := s.def.eng.Load().version; v != wantVersion {
 		t.Errorf("final version = %d, want %d (loader calls %d)", v, wantVersion, calls.Load())
 	}
 }

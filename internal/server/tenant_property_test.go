@@ -28,7 +28,7 @@ func TestSingleflightCompilesOnce(t *testing.T) {
 
 	const callers = 32
 	var wg sync.WaitGroup
-	entries := make([]*tenant, callers)
+	entries := make([]*scope, callers)
 	errs := make([]error, callers)
 	start := make(chan struct{})
 	for i := 0; i < callers; i++ {

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"fixrule/internal/core"
 )
@@ -349,5 +350,120 @@ func TestTenantEvictionDuringStream(t *testing.T) {
 	out := <-done
 	if strings.Count(out, "Beijing") != 2 || strings.Contains(out, "Peking") {
 		t.Errorf("evicted mid-stream request not served by its snapshot:\n%s", out)
+	}
+}
+
+// TestTenantReloadsSerialised pins per-tenant reload ordering: while one
+// reload's loader call is still running, a second reload of the same
+// tenant waits, so the second (newer) load is the one left serving.
+// Unserialised, the second reload would install first and the stalled one
+// would then land its older rules on top, at the higher version.
+func TestTenantReloadsSerialised(t *testing.T) {
+	var calls, running, overlaps atomic.Int64
+	firstEntered, firstRelease := make(chan struct{}), make(chan struct{})
+	secondEntered := make(chan struct{})
+	loader := func(tenant string) (*core.Ruleset, error) {
+		if running.Add(1) > 1 {
+			overlaps.Add(1)
+		}
+		defer running.Add(-1)
+		switch calls.Add(1) {
+		case 1:
+			close(firstEntered)
+			<-firstRelease
+			return travelRuleset("Peking"), nil // read before the deploy
+		case 2:
+			close(secondEntered)
+		}
+		return travelRuleset("Beijing"), nil
+	}
+	cfg := Config{Logger: discardLogger}
+	cfg.Tenants = &TenantOptions{Loader: loader}
+	ts := newLocalServer(t, NewWithConfig(mustTestRepairer(t), cfg))
+
+	reload := func(done chan<- int) {
+		resp, err := http.Post(ts.URL+"/t/acme/reload", "", nil)
+		if err != nil {
+			done <- 0
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		done <- resp.StatusCode
+	}
+	first, second := make(chan int, 1), make(chan int, 1)
+	go reload(first)
+	<-firstEntered
+	go reload(second)
+	select {
+	case <-secondEntered:
+		t.Error("second reload called the loader while the first was still loading")
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(firstRelease)
+	if code := <-first; code != http.StatusOK {
+		t.Errorf("first reload = %d", code)
+	}
+	if code := <-second; code != http.StatusOK {
+		t.Errorf("second reload = %d", code)
+	}
+	if n := overlaps.Load(); n != 0 {
+		t.Errorf("loader ran concurrently %d times", n)
+	}
+
+	resp := postJSON(t, ts.URL+"/t/acme/repair", ianTuple)
+	if v := resp.Header.Get(VersionHeader); v != "2" {
+		t.Errorf("final version = %q, want 2", v)
+	}
+	if body := readBody(t, resp); !strings.Contains(body, "Beijing") || strings.Contains(body, "Peking") {
+		t.Errorf("tenant serves the older load, not the second reload's rules:\n%s", body)
+	}
+}
+
+// TestInvalidateDuringColdLoad pins SIGHUP against a cold load: a load
+// that began before InvalidateTenants may answer the request that
+// triggered it, but must not be cached past the invalidation, so the next
+// request loads again and serves the deployed rules.
+func TestInvalidateDuringColdLoad(t *testing.T) {
+	var calls atomic.Int64
+	entered, release := make(chan struct{}), make(chan struct{})
+	loader := func(tenant string) (*core.Ruleset, error) {
+		if calls.Add(1) == 1 {
+			close(entered)
+			<-release
+			return travelRuleset("Peking"), nil // read before the deploy
+		}
+		return travelRuleset("Beijing"), nil
+	}
+	cfg := Config{Logger: discardLogger}
+	cfg.Tenants = &TenantOptions{Loader: loader}
+	s := NewWithConfig(mustTestRepairer(t), cfg)
+	ts := newLocalServer(t, s)
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		resp, err := http.Post(ts.URL+"/t/acme/repair", "application/json", strings.NewReader(ianTuple))
+		if err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}()
+	<-entered
+	if n := s.InvalidateTenants(); n != 0 {
+		t.Errorf("InvalidateTenants dropped %d engines, want 0 (nothing cached yet)", n)
+	}
+	close(release)
+	<-done
+
+	resp := postJSON(t, ts.URL+"/t/acme/repair", ianTuple)
+	if v := resp.Header.Get(VersionHeader); v != "2" {
+		t.Errorf("post-invalidation version = %q, want 2", v)
+	}
+	if body := readBody(t, resp); !strings.Contains(body, "Beijing") {
+		t.Errorf("load begun before the invalidation was cached past it:\n%s", body)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Errorf("loader calls = %d, want 2", n)
 	}
 }

@@ -1,10 +1,6 @@
 package server
 
 import (
-	"context"
-	"errors"
-	"fmt"
-	"io/fs"
 	"net/http"
 	"strconv"
 	"strings"
@@ -14,11 +10,11 @@ import (
 )
 
 // This file is the tenant-scoped HTTP surface: every route under
-// /t/{tenant}/ resolves the tenant's compiled engine through the registry
-// (LRU + singleflight) and then dispatches into the same handlers the
-// single-tenant routes use, bound to the tenant's engine snapshot — which
-// is what makes multi-tenant repair output byte-identical to a
-// single-tenant server loaded with the same ruleset.
+// /t/{tenant}/ resolves the tenant's scope through the registry (LRU +
+// singleflight) and then takes the same admission path (serveScope) into
+// the same handlers the single-tenant routes use, bound to the tenant's
+// engine snapshot — which is what makes multi-tenant output byte-identical
+// to a single-tenant server loaded with the same ruleset.
 //
 //	POST /t/{x}/repair        JSON tuples → repaired tuples + steps
 //	POST /t/{x}/repair/csv    CSV / x-fcol stream → repaired stream
@@ -71,53 +67,30 @@ func splitTenantPath(path string) (tenant, rest string) {
 	return p, ""
 }
 
-// tenantEndpointLabel maps the remainder of a tenant path to its metric
-// endpoint label. Unknown remainders return ok=false and are answered 404.
-func tenantEndpointLabel(rest string) (label string, ok bool) {
-	switch rest {
-	case "/repair":
-		return "/t/{tenant}/repair", true
-	case "/repair/csv":
-		return "/t/{tenant}/repair/csv", true
-	case "/explain":
-		return "/t/{tenant}/explain", true
-	case "/rules":
-		return "/t/{tenant}/rules", true
-	case "/rules/stats":
-		return "/t/{tenant}/rules/stats", true
-	case "/stats":
-		return "/t/{tenant}/stats", true
-	case "/quality":
-		return "/t/{tenant}/quality", true
-	case "/reload":
-		return "/t/{tenant}/reload", true
-	case "/debug/traces":
-		return "/t/{tenant}/debug/traces", true
-	}
-	if strings.HasPrefix(rest, "/debug/traces/") {
-		return "/t/{tenant}/debug/traces", true
-	}
-	return "/t/{tenant}", false
-}
-
-// tenantLimited marks the tenant routes that pass through both the global
-// and the per-tenant concurrency limiter and get a request deadline —
-// the same set as their single-tenant counterparts.
-func tenantLimited(label string) bool {
-	switch label {
-	case "/t/{tenant}/repair", "/t/{tenant}/repair/csv", "/t/{tenant}/explain":
-		return true
-	}
-	return false
+// tenantRoute is one route under /t/{tenant}/: its metric endpoint
+// label, whether it passes the admission limits (the same set as its
+// single-tenant counterpart), and its handler. The reload and trace routes
+// have no handler: they run before, and without, the tenant's scope.
+type tenantRoute struct {
+	label   string
+	limited bool
+	h       handlerFunc
 }
 
 // handleTenant is the tenant router: it validates the tenant ID, resolves
-// the tenant's engine (compiling under singleflight on a cold hit),
-// enforces the per-tenant quotas, and dispatches to the shared handlers.
+// the tenant's scope (loading it under singleflight on a cold hit), and
+// hands the request to serveScope.
 func (s *Server) handleTenant(w http.ResponseWriter, r *http.Request) {
 	tenantID, rest := splitTenantPath(r.URL.Path)
-	label, known := tenantEndpointLabel(rest)
-	c := s.begin(label, w, r)
+	route := rest
+	if strings.HasPrefix(rest, "/debug/traces/") {
+		route = "/debug/traces"
+	}
+	rt, known := s.tenantRoutes[route]
+	if !known {
+		rt.label = "/t/{tenant}"
+	}
+	c := s.begin(rt.label, rt.limited, w, r)
 	defer s.end(c)
 
 	if !ValidTenantID(tenantID) {
@@ -127,132 +100,24 @@ func (s *Server) handleTenant(w http.ResponseWriter, r *http.Request) {
 	}
 	c.sw.Header().Set(TenantHeader, tenantID)
 	c.root.SetAttr(trace.String("tenant", tenantID))
-	if !known {
+	switch {
+	case !known:
 		s.writeError(c.sw, http.StatusNotFound, codeUnknownRoute,
 			"unknown tenant route")
-		return
-	}
-
-	// The trace views read only the tracer's ring — no engine, no loader.
-	if label == "/t/{tenant}/debug/traces" {
-		if r.Method != http.MethodGet {
-			s.methodNotAllowed(c.sw, http.MethodGet)
-			return
-		}
-		if id := strings.TrimPrefix(rest, "/debug/traces"); strings.HasPrefix(id, "/") {
-			s.writeTraceDetail(c.sw, strings.TrimPrefix(id, "/"), tenantID)
-		} else {
-			s.writeTraceList(c.sw, r, tenantID)
-		}
-		return
-	}
-
-	// A reload always goes through the loader, cached or not: it is the
-	// per-tenant hot deploy.
-	if label == "/t/{tenant}/reload" {
+	case route == "/debug/traces":
+		// The trace views read only the tracer's ring — no engine, no loader.
+		s.serveTraces(c.sw, r, strings.TrimPrefix(rest, "/debug/traces"), tenantID)
+	case route == "/reload":
+		// A reload always goes through the loader, cached or not: it is
+		// the per-tenant hot deploy.
 		s.handleTenantReload(c.sw, r, tenantID)
-		return
-	}
-
-	e, err := s.tenants.get(tenantID)
-	if err != nil {
-		s.tenantResolveError(c.sw, tenantID, err)
-		return
-	}
-	eng := e.eng.Load()
-	e.m.requests.Inc()
-	c.tenantQuality = e.m.quality
-	c.sw.Header().Set(VersionHeader, strconv.FormatInt(eng.version, 10))
-	c.sw.Header().Set(HashHeader, eng.hash)
-
-	ctx := r.Context()
-	if tenantLimited(label) {
-		// Global capacity first, then the tenant's own quota; a tenant at
-		// its quota is shed without consuming global slots, so one noisy
-		// tenant cannot starve the others.
-		select {
-		case s.sem <- struct{}{}:
-			defer func() { <-s.sem }()
-		default:
-			s.m.shed.Inc()
-			s.quality.observeShed(s.quality.now())
-			c.sw.Header().Set("Retry-After", s.retryAfter())
-			s.writeError(c.sw, http.StatusServiceUnavailable, codeOverloaded,
-				"server at capacity, retry shortly")
-			return
-		}
-		select {
-		case e.sem <- struct{}{}:
-			defer func() { <-e.sem }()
-		default:
-			e.m.shed.Inc()
-			e.m.quality.observeShed(e.m.quality.now())
-			// The tenant quota has no queue of its own; the backoff hint
-			// follows global pressure — a tenant at quota on an idle server
-			// can retry in a second, one shed under global saturation should
-			// wait as long as any other refused request.
-			c.sw.Header().Set("Retry-After", s.retryAfter())
-			s.writeError(c.sw, http.StatusServiceUnavailable, codeTenantOverloaded,
-				"tenant at its concurrency quota, retry shortly")
-			return
-		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
-	}
-	r = r.WithContext(trace.ContextWithSpan(ctx, c.root))
-	if r.Method == http.MethodPost {
-		r.Body = http.MaxBytesReader(c.sw, r.Body, s.tenantOpts.MaxBodyBytes)
-	}
-
-	switch label {
-	case "/t/{tenant}/repair":
-		s.handleRepair(c.sw, r, eng)
-	case "/t/{tenant}/repair/csv":
-		s.handleRepairCSV(c.sw, r, eng)
-	case "/t/{tenant}/explain":
-		s.handleExplain(c.sw, r, eng)
-	case "/t/{tenant}/rules":
-		s.handleRules(c.sw, r, eng)
-	case "/t/{tenant}/rules/stats":
-		s.handleStats(c.sw, r, eng)
-	case "/t/{tenant}/stats":
-		s.handleTenantStats(c.sw, r, e, eng)
-	case "/t/{tenant}/quality":
-		s.handleTenantQuality(c.sw, r, e)
-	}
-}
-
-// handleTenantQuality is GET /t/{x}/quality: the tenant's own windowed
-// quality report, scope-stamped with the tenant ID.
-func (s *Server) handleTenantQuality(w http.ResponseWriter, r *http.Request, e *tenant) {
-	if r.Method != http.MethodGet {
-		s.methodNotAllowed(w, http.MethodGet)
-		return
-	}
-	writeJSON(w, e.m.quality.report(e.name))
-}
-
-// tenantResolveError maps a registry resolution failure onto the envelope:
-// unknown tenants are 404, inconsistent rulesets 422 (the conflict text
-// names only the tenant's own rules), and anything else — typically a
-// loader I/O failure whose detail may reference server-side paths — is
-// logged and answered 500 with the code alone.
-func (s *Server) tenantResolveError(w http.ResponseWriter, tenantID string, err error) {
-	var re *ReloadError
-	switch {
-	case errors.Is(err, fs.ErrNotExist):
-		s.writeError(w, http.StatusNotFound, codeUnknownTenant,
-			"unknown tenant "+strconv.Quote(tenantID))
-	case errors.As(err, &re) && re.Stage == "consistency":
-		s.writeError(w, http.StatusUnprocessableEntity, codeInconsistent,
-			//fix:allow errcode: the conflict text names rules from the tenant's own ruleset, never paths
-			fmt.Sprintf("tenant ruleset rejected: %v", re.Err))
 	default:
-		s.cfg.Logger.Error("tenant load failed",
-			"tenant", tenantID, "request_id", w.Header().Get(RequestIDHeader), "err", err)
-		s.writeError(w, http.StatusInternalServerError, codeTenantLoadFailed,
-			"loading the tenant ruleset failed; see server log")
+		sc, err := s.tenants.get(tenantID)
+		if err != nil {
+			s.loadError(c.sw, tenantID, err)
+			return
+		}
+		s.serveScope(c, r, sc, rt.limited, rt.h)
 	}
 }
 
@@ -264,12 +129,11 @@ func (s *Server) handleTenantReload(w http.ResponseWriter, r *http.Request, tena
 		return
 	}
 	info, err := s.tenants.reload(tenantID)
+	s.countReload(err)
 	if err != nil {
-		s.m.reloadFail.Inc()
-		s.tenantResolveError(w, tenantID, err)
+		s.loadError(w, tenantID, err)
 		return
 	}
-	s.m.reloads.Inc()
 	w.Header().Set(VersionHeader, strconv.FormatInt(info.Version, 10))
 	w.Header().Set(HashHeader, info.Hash)
 	s.cfg.Logger.Info("tenant ruleset reloaded",
@@ -300,34 +164,36 @@ type tenantStatsResponse struct {
 	Reloads        int64     `json:"reloads"`
 }
 
-func (s *Server) handleTenantStats(w http.ResponseWriter, r *http.Request, e *tenant, eng *engine) {
+func (s *Server) handleTenantStats(w http.ResponseWriter, r *http.Request, eng *engine) {
 	if r.Method != http.MethodGet {
 		s.methodNotAllowed(w, http.MethodGet)
 		return
 	}
+	sc, tm := eng.sc, eng.tm
 	writeJSON(w, tenantStatsResponse{
-		Tenant:         e.name,
+		Tenant:         sc.name,
 		RequestID:      w.Header().Get(RequestIDHeader),
 		RulesetVersion: eng.version,
 		RulesetHash:    eng.hash,
 		Rules:          eng.rep.Ruleset().Len(),
 		LoadedAt:       eng.loadedAt,
-		Cached:         s.tenants.cached(e.name),
-		InFlight:       len(e.sem),
-		Requests:       e.m.requests.Load(),
-		Shed:           e.m.shed.Load(),
-		Tuples:         e.m.tuples.Load(),
-		TuplesRepaired: e.m.repaired.Load(),
-		RulesFired:     e.m.rulesFired.Load(),
-		OOVCells:       e.m.oovCells.Load(),
-		Reloads:        e.m.reloads.Load(),
+		Cached:         s.tenants.cached(sc.name),
+		InFlight:       len(sc.sem),
+		Requests:       tm.requests.Load(),
+		Shed:           tm.shed.Load(),
+		Tuples:         tm.tuples.Load(),
+		TuplesRepaired: tm.repaired.Load(),
+		RulesFired:     tm.rulesFired.Load(),
+		OOVCells:       tm.oovCells.Load(),
+		Reloads:        tm.reloads.Load(),
 	})
 }
 
 // InvalidateTenants drops every cached tenant engine (fixserve wires this
 // to SIGHUP in multi-tenant mode); the next request per tenant recompiles
-// through the loader. Returns the number of engines dropped. A server
-// without tenant serving returns 0.
+// through the loader, and a load already running when it lands is not
+// cached. Returns the number of engines dropped. A server without tenant
+// serving returns 0.
 func (s *Server) InvalidateTenants() int {
 	if s.tenants == nil {
 		return 0

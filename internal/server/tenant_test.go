@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -250,17 +251,19 @@ func TestTenantIDValidation(t *testing.T) {
 // TestTenantByteIdentity is the core multi-tenant correctness claim: a
 // request served through /t/{x}/ produces byte-identical output to the
 // same request against a single-tenant server loaded with the same
-// ruleset — for JSON repair, CSV streaming, columnar bodies, and explain.
+// ruleset — for JSON repair, CSV streaming, columnar bodies, and explain,
+// for the GET ruleset views, and on the error paths.
 func TestTenantByteIdentity(t *testing.T) {
 	rep, err := repair.NewRepairerChecked(travelRuleset("Beijing"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	single := httptest.NewServer(NewWithConfig(rep, Config{Logger: discardLogger}))
+	const maxBody = 4 << 10
+	single := httptest.NewServer(NewWithConfig(rep, Config{Logger: discardLogger, MaxBodyBytes: maxBody}))
 	defer single.Close()
 
 	loader := newMapLoader(map[string]*core.Ruleset{"acme": travelRuleset("Beijing")})
-	_, multi := newTenantServer(t, Config{}, TenantOptions{}, loader)
+	_, multi := newTenantServer(t, Config{MaxBodyBytes: maxBody}, TenantOptions{}, loader)
 
 	do := func(srv, path, contentType, accept, body string) (string, string) {
 		t.Helper()
@@ -323,6 +326,60 @@ func TestTenantByteIdentity(t *testing.T) {
 		"", `{"tuple": ["Ian","China","Shanghai","Hongkong","ICDE"]}`)
 	if se != me {
 		t.Errorf("explain differs:\nsingle: %s\ntenant: %s", se, me)
+	}
+
+	// Error paths and the GET surfaces: the same status, error code,
+	// content type, ruleset headers and body, once the per-request
+	// correlation IDs are masked.
+	masked := regexp.MustCompile(`"(request_id|trace_id)":"[^"]*"`)
+	serve := func(srv, method, path, contentType, body string) (*http.Response, string) {
+		t.Helper()
+		req, err := http.NewRequest(method, srv+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if contentType != "" {
+			req.Header.Set("Content-Type", contentType)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, masked.ReplaceAllString(readBody(t, resp), `"$1":"-"`)
+	}
+	oversized := `{"tuples": [["` + strings.Repeat("x", maxBody) + `","China","Shanghai","Hongkong","ICDE"]]}`
+	for _, tc := range []struct {
+		name, method, path, contentType, body, code string
+		status                                      int
+	}{
+		{"bad algorithm", "POST", "/repair", "application/json",
+			`{"tuples": [["Ian","China","Shanghai","Hongkong","ICDE"]], "algorithm": "bogus"}`, codeBadAlgorithm, 400},
+		{"arity mismatch", "POST", "/repair", "application/json", `{"tuples": [["Ian","China"]]}`, codeArityMismatch, 400},
+		{"explain arity mismatch", "POST", "/explain", "application/json", `{"tuple": ["Ian"]}`, codeArityMismatch, 400},
+		{"malformed JSON", "POST", "/repair", "application/json", `{"tuples": [`, codeBadJSON, 400},
+		{"malformed CSV", "POST", "/repair/csv", "text/csv", "name,country\nIan,China\n", codeBadStream, 400},
+		{"GET on a POST route", "GET", "/repair", "", "", codeMethodNotAllowed, 405},
+		{"oversized body", "POST", "/repair", "application/json", oversized, codeBodyTooLarge, 413},
+		{"rules", "GET", "/rules", "", "", "", 200},
+		{"rules as JSON", "GET", "/rules?format=json", "", "", "", 200},
+		{"rules/stats", "GET", "/rules/stats", "", "", "", 200},
+	} {
+		sr, sb := serve(single.URL, tc.method, tc.path, tc.contentType, tc.body)
+		mr, mb := serve(multi.URL, tc.method, "/t/acme"+tc.path, tc.contentType, tc.body)
+		if sr.StatusCode != tc.status || mr.StatusCode != tc.status {
+			t.Errorf("%s: status single %d, tenant %d, want %d", tc.name, sr.StatusCode, mr.StatusCode, tc.status)
+		}
+		if tc.code != "" && !strings.Contains(sb, `"code":"`+tc.code+`"`) {
+			t.Errorf("%s: single body lacks code %s: %s", tc.name, tc.code, sb)
+		}
+		for _, h := range []string{"Content-Type", VersionHeader, HashHeader} {
+			if sv, mv := sr.Header.Get(h), mr.Header.Get(h); sv != mv {
+				t.Errorf("%s: %s single %q, tenant %q", tc.name, h, sv, mv)
+			}
+		}
+		if sb != mb {
+			t.Errorf("%s: body differs:\nsingle: %s\ntenant: %s", tc.name, sb, mb)
+		}
 	}
 }
 
@@ -617,10 +674,16 @@ func TestTenantOnlyWorker(t *testing.T) {
 
 	for _, path := range []string{"/repair", "/repair/csv", "/explain", "/rules", "/rules/stats", "/reload"} {
 		resp := postJSON(t, srv.URL+path, ianTuple)
+		if v := resp.Header.Get(VersionHeader); v != "" {
+			t.Errorf("worker %s carries %s %q", path, VersionHeader, v)
+		}
 		if code := decodeEnvelope(t, resp); resp.StatusCode != 404 || code != codeNoDefaultRuleset {
 			t.Errorf("worker %s = %d %s, want 404 %s", path, resp.StatusCode, code, codeNoDefaultRuleset)
 		}
 	}
+	// Outside /t/{x}/ a worker serves no ruleset, so it advertises none:
+	// no ruleset headers, no fixserve_ruleset_info, no ruleset fields in
+	// /stats.
 	for _, path := range []string{"/healthz", "/metrics", "/stats", "/debug/traces"} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
@@ -629,7 +692,31 @@ func TestTenantOnlyWorker(t *testing.T) {
 		if resp.StatusCode != 200 {
 			t.Errorf("worker %s = %d, want 200", path, resp.StatusCode)
 		}
-		readBody(t, resp)
+		for _, h := range []string{VersionHeader, HashHeader} {
+			if v := resp.Header.Get(h); v != "" {
+				t.Errorf("worker %s carries %s %q", path, h, v)
+			}
+		}
+		body := readBody(t, resp)
+		switch path {
+		case "/metrics":
+			if strings.Contains(body, "fixserve_ruleset_info") {
+				t.Errorf("worker /metrics exports fixserve_ruleset_info")
+			}
+		case "/stats":
+			var fields map[string]json.RawMessage
+			if err := json.Unmarshal([]byte(body), &fields); err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []string{"ruleset_version", "ruleset_hash", "rules", "loaded_at"} {
+				if v, ok := fields[k]; ok {
+					t.Errorf("worker /stats reports %s = %s", k, v)
+				}
+			}
+		}
+	}
+	if rs := s.Ruleset(); rs != nil {
+		t.Errorf("worker Ruleset() = %v, want nil", rs.Schema())
 	}
 
 	// NewTenantOnly without a loader is a configuration error.

@@ -281,7 +281,7 @@ func TestDebugTracesChaseStepsMatchRepairlog(t *testing.T) {
 			got := chaseStepsToLog(t, detail)
 
 			rel := schema.FromRows(s.Ruleset().Schema(), rows)
-			res := s.eng.Load().rep.RepairRelation(rel, repair.Chase)
+			res := s.def.eng.Load().rep.RepairRelation(rel, repair.Chase)
 			want := repairlog.FromResult(rel, res.Relation, res.Changed)
 			if len(want) == 0 {
 				t.Fatal("fixture produced no repairs; test is vacuous")
