@@ -304,9 +304,10 @@ func Labels(kv ...string) string {
 	return b.String()
 }
 
+// lookup finds or registers the series for (name, labels). The caller
+// holds r.mu and sets the series' instrument before releasing it, so a
+// concurrent registration or scrape never sees a half-made series.
 func (r *Registry) lookup(name, help string, k kind, labels string) *series {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	f := r.byName[name]
 	if f == nil {
 		f = &family{name: name, help: help, kind: k, byLab: make(map[string]*series)}
@@ -328,6 +329,8 @@ func (r *Registry) lookup(name, help string, k kind, labels string) *series {
 // Counter returns the counter for (name, labels), registering it on first
 // use. labels is a pre-rendered pair list from Labels, or "" for none.
 func (r *Registry) Counter(name, help, labels string) *Counter {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	s := r.lookup(name, help, kindCounter, labels)
 	if s.c == nil {
 		s.c = &Counter{}
@@ -337,6 +340,8 @@ func (r *Registry) Counter(name, help, labels string) *Counter {
 
 // Gauge returns the gauge for (name, labels), registering it on first use.
 func (r *Registry) Gauge(name, help, labels string) *Gauge {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	s := r.lookup(name, help, kindGauge, labels)
 	if s.g == nil {
 		s.g = &Gauge{}
@@ -347,6 +352,8 @@ func (r *Registry) Gauge(name, help, labels string) *Gauge {
 // FloatGauge returns the float gauge for (name, labels), registering it on
 // first use. A name may hold int or float series, never both.
 func (r *Registry) FloatGauge(name, help, labels string) *FloatGauge {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	s := r.lookup(name, help, kindGauge, labels)
 	if s.fg == nil {
 		if s.g != nil {
@@ -362,6 +369,8 @@ func (r *Registry) FloatGauge(name, help, labels string) *FloatGauge {
 // pause seconds. It renders with counter TYPE metadata; the caller must
 // only ever Add non-negative deltas.
 func (r *Registry) FloatCounter(name, help, labels string) *FloatGauge {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	s := r.lookup(name, help, kindCounter, labels)
 	if s.fg == nil {
 		if s.c != nil {
@@ -375,6 +384,8 @@ func (r *Registry) FloatCounter(name, help, labels string) *FloatGauge {
 // Histogram returns the histogram for (name, labels), registering it on
 // first use with the given bucket bounds (ignored on later lookups).
 func (r *Registry) Histogram(name, help, labels string, bounds []float64) *Histogram {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	s := r.lookup(name, help, kindHistogram, labels)
 	if s.h == nil {
 		s.h = NewHistogram(bounds)
@@ -427,11 +438,17 @@ func (r *Registry) write(w io.Writer, om bool) {
 	for _, fn := range hooks {
 		fn()
 	}
+	// Snapshot each family's series under the lock: a scrape hook or a
+	// handler may register a series while this one renders.
 	r.mu.Lock()
 	fams := make([]*family, len(r.fams))
 	copy(fams, r.fams)
+	snap := make([][]*series, len(fams))
+	for i, f := range fams {
+		snap[i] = f.series[:len(f.series):len(f.series)]
+	}
 	r.mu.Unlock()
-	for _, f := range fams {
+	for fi, f := range fams {
 		typ := map[kind]string{kindCounter: "counter", kindGauge: "gauge", kindHistogram: "histogram"}[f.kind]
 		meta := f.name
 		if om && f.kind == kindCounter {
@@ -440,7 +457,7 @@ func (r *Registry) write(w io.Writer, om bool) {
 			meta = strings.TrimSuffix(meta, "_total")
 		}
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", meta, f.help, meta, typ)
-		for _, s := range f.series {
+		for _, s := range snap[fi] {
 			switch f.kind {
 			case kindCounter:
 				if s.fg != nil {

@@ -1,7 +1,10 @@
 package obs
 
 import (
+	"bytes"
+	"io"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -156,5 +159,30 @@ func TestDefaultLatencyBuckets(t *testing.T) {
 		if b[i] <= b[i-1] {
 			t.Fatalf("buckets not ascending at %d: %v", i, b)
 		}
+	}
+}
+
+// TestRegistryConcurrentRegisterAndScrape: scrape hooks register series
+// (a new rule label in a quality window) while other scrapes render, so
+// registration and rendering must be safe to run at once under -race.
+func TestRegistryConcurrentRegisterAndScrape(t *testing.T) {
+	r := NewRegistry()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				r.Gauge("g", "h", Labels("k", strconv.Itoa(i))).Set(int64(g))
+				r.Counter("c_total", "h", Labels("k", strconv.Itoa(i))).Inc()
+				r.WritePrometheus(io.Discard)
+			}
+		}(g)
+	}
+	wg.Wait()
+	var buf bytes.Buffer
+	r.WritePrometheus(&buf)
+	if got := strings.Count(buf.String(), "\nc_total{"); got != 100 {
+		t.Errorf("%d c_total series rendered, want 100", got)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"fixrule/internal/core"
 	"fixrule/internal/schema"
+	"fixrule/internal/store"
 )
 
 // This file is the compiled repair engine. At NewRepairer time every
@@ -75,7 +76,7 @@ func containsCode(s []uint32, v uint32) bool {
 }
 
 // slot is one entry of a valueTable: the interned string, its sample tag
-// (the hash's a-sample, see sampleHashTag) and its code. For keys of at
+// (the hash's a-sample, see store.SampleHash) and its code. For keys of at
 // most 8 bytes the tag covers every byte, so tag plus length equality IS
 // string equality and a probe never dereferences the key at all; longer
 // keys use the tag as a first-word prefilter before the full compare.
@@ -100,48 +101,6 @@ type valueTable struct {
 	emptyCode uint32 // code of the empty string, which cannot occupy a slot
 }
 
-// load64 reads 8 little-endian bytes of s at offset i. The byte-shift form
-// compiles to a single unaligned load on amd64 and arm64.
-func load64(s string, i int) uint64 {
-	_ = s[i+7]
-	return uint64(s[i]) | uint64(s[i+1])<<8 | uint64(s[i+2])<<16 | uint64(s[i+3])<<24 |
-		uint64(s[i+4])<<32 | uint64(s[i+5])<<40 | uint64(s[i+6])<<48 | uint64(s[i+7])<<56
-}
-
-// load32 reads 4 little-endian bytes of s at offset i.
-func load32(s string, i int) uint32 {
-	_ = s[i+3]
-	return uint32(s[i]) | uint32(s[i+1])<<8 | uint32(s[i+2])<<16 | uint32(s[i+3])<<24
-}
-
-// sampleHashTag mixes len(s) with the first and last 8 bytes of s
-// (xxhash-style avalanche constants) and also returns the raw a-sample as
-// the slot tag. For n <= 8 the sample reads every byte of s — overlapping
-// where the halves meet — so for a fixed length it is injective: equal tag
-// plus equal length means equal strings. Callers must ensure s is
-// non-empty.
-func sampleHashTag(s string) (uint32, uint64) {
-	n := len(s)
-	var a, b uint64
-	switch {
-	case n >= 8:
-		a = load64(s, 0)
-		b = load64(s, n-8)
-	case n >= 4:
-		a = uint64(load32(s, 0)) | uint64(load32(s, n-4))<<32
-		b = a
-	default: // 1..3 bytes
-		a = uint64(s[0]) | uint64(s[n>>1])<<8 | uint64(s[n-1])<<16
-		b = a
-	}
-	h := a ^ uint64(n)*0x9E3779B97F4A7C15
-	h = (h ^ b) * 0xC2B2AE3D27D4EB4F
-	h ^= h >> 29
-	h *= 0x165667B19E3779F9
-	h ^= h >> 32
-	return uint32(h), a
-}
-
 // newValueTable freezes an interning map into a lookup table.
 func newValueTable(m map[string]uint32) *valueTable {
 	size := uint32(4)
@@ -154,7 +113,7 @@ func newValueTable(m map[string]uint32) *valueTable {
 			t.emptyCode = code
 			continue
 		}
-		h, tag := sampleHashTag(k)
+		h, tag := store.SampleHash(k)
 		i := h & t.mask
 		for t.slots[i].code != 0 {
 			i = (i + 1) & t.mask
@@ -172,7 +131,7 @@ func (t *valueTable) code(s string) uint32 {
 	if len(s) == 0 {
 		return t.emptyCode
 	}
-	h, tag := sampleHashTag(s)
+	h, tag := store.SampleHash(s)
 	i := h & t.mask
 	for {
 		sl := &t.slots[i]
@@ -186,42 +145,6 @@ func (t *valueTable) code(s string) uint32 {
 	}
 }
 
-// load64B and load32B are load64/load32 for byte slices.
-func load64B(b []byte, i int) uint64 {
-	_ = b[i+7]
-	return uint64(b[i]) | uint64(b[i+1])<<8 | uint64(b[i+2])<<16 | uint64(b[i+3])<<24 |
-		uint64(b[i+4])<<32 | uint64(b[i+5])<<40 | uint64(b[i+6])<<48 | uint64(b[i+7])<<56
-}
-
-func load32B(b []byte, i int) uint32 {
-	_ = b[i+3]
-	return uint32(b[i]) | uint32(b[i+1])<<8 | uint32(b[i+2])<<16 | uint32(b[i+3])<<24
-}
-
-// sampleHashTagB must hash identically to sampleHashTag so byte-slice
-// probes find the same slots and compare the same tags.
-func sampleHashTagB(b []byte) (uint32, uint64) {
-	n := len(b)
-	var a, z uint64
-	switch {
-	case n >= 8:
-		a = load64B(b, 0)
-		z = load64B(b, n-8)
-	case n >= 4:
-		a = uint64(load32B(b, 0)) | uint64(load32B(b, n-4))<<32
-		z = a
-	default: // 1..3 bytes
-		a = uint64(b[0]) | uint64(b[n>>1])<<8 | uint64(b[n-1])<<16
-		z = a
-	}
-	h := a ^ uint64(n)*0x9E3779B97F4A7C15
-	h = (h ^ z) * 0xC2B2AE3D27D4EB4F
-	h ^= h >> 29
-	h *= 0x165667B19E3779F9
-	h ^= h >> 32
-	return uint32(h), a
-}
-
 // keyEqTail reports s == string(b) for keys already known to agree on
 // length and on their first 8 bytes (the slot tag), so it compares from
 // byte 8 on, a word at a time with an overlapping final load. Requires
@@ -230,11 +153,11 @@ func keyEqTail(s string, b []byte) bool {
 	n := len(b)
 	i := 8
 	for ; i+8 <= n; i += 8 {
-		if load64(s, i) != load64B(b, i) {
+		if store.Load64(s, i) != store.Load64(b, i) {
 			return false
 		}
 	}
-	return i >= n || load64(s, n-8) == load64B(b, n-8)
+	return i >= n || store.Load64(s, n-8) == store.Load64(b, n-8)
 }
 
 // codeB is code for a raw byte-slice cell: the same probe sequence, with
@@ -250,7 +173,7 @@ func (t *valueTable) codeB(b []byte) uint32 {
 	if n == 0 {
 		return t.emptyCode
 	}
-	h, tag := sampleHashTagB(b)
+	h, tag := store.SampleHash(b)
 	i := h & t.mask
 	for {
 		sl := &t.slots[i]

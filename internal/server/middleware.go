@@ -239,16 +239,23 @@ func (x *outcomeSeries) observe(now time.Time, attrs []string, o outcome) {
 // statusWriter records the response status so the middleware can classify
 // the outcome after the handler returns. Flush passes through so the CSV
 // streaming path keeps working behind the wrapper.
+//
+// A stream that fails after its first byte still writes an error
+// envelope through WriteHeader. The 200 status line is already on the
+// wire by then, so that second WriteHeader is not forwarded, but its
+// status is what the request is recorded as: the metrics, the quality
+// windows, the span and the access log count the failure, not the 200.
 type statusWriter struct {
 	http.ResponseWriter
 	code int
 }
 
 func (sw *statusWriter) WriteHeader(code int) {
-	if sw.code == 0 {
-		sw.code = code
+	first := sw.code == 0
+	sw.code = code
+	if first {
+		sw.ResponseWriter.WriteHeader(code)
 	}
-	sw.ResponseWriter.WriteHeader(code)
 }
 
 func (sw *statusWriter) Write(p []byte) (int, error) {

@@ -375,6 +375,14 @@ func (p *Proxy) handleForward(w http.ResponseWriter, r *http.Request) {
 	out.Header.Set("traceparent", root.Context().Traceparent())
 	out.ContentLength = r.ContentLength
 
+	// The transport reads the client's body while the worker's response
+	// is already streaming back through sw. Without full duplex, the
+	// first flush of that response makes net/http drain whatever of the
+	// body is still unread (when less than 256 KiB), racing the transport
+	// for the same bytes: the worker then sees a cut body and the stream
+	// ends in upstream_interrupted.
+	_ = http.NewResponseController(sw).EnableFullDuplex()
+
 	resp, err := p.client.Do(out)
 	if headerTimer != nil {
 		// Headers are in (or the attempt failed): the stream body is no

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -175,6 +177,90 @@ func TestProxyByteIdentity(t *testing.T) {
 	fproxied := do(fx.front.URL, "/t/acme/repair/csv", "text/csv", "application/x-fcol", csvBody)
 	if fdirect != fproxied {
 		t.Errorf("columnar via proxy differs (%d vs %d bytes)", len(fdirect), len(fproxied))
+	}
+}
+
+// gatedReader hands out body[:gate], then blocks until open is closed (or
+// a fallback timeout passes, so a proxy that never answers cannot hang
+// the test) before trickling out the rest in small, spaced pieces.
+type gatedReader struct {
+	body     []byte
+	off      int
+	gate     int
+	open     <-chan struct{}
+	fallback time.Duration
+}
+
+func (g *gatedReader) Read(p []byte) (int, error) {
+	if g.off == len(g.body) {
+		return 0, io.EOF
+	}
+	end := g.gate
+	switch {
+	case g.off == g.gate:
+		select {
+		case <-g.open:
+		case <-time.After(g.fallback):
+		}
+		fallthrough
+	case g.off > g.gate:
+		time.Sleep(time.Millisecond)
+		end = min(g.off+8<<10, len(g.body))
+	}
+	n := copy(p, g.body[g.off:end])
+	g.off += n
+	return n, nil
+}
+
+// TestProxyStreamsWhileUploading: a proxied /repair/csv stream whose
+// response starts while the client is still uploading arrives whole. The
+// client sends ~300 KiB of a ~400 KiB body and waits for the response
+// headers before sending the rest, so the proxy's first flush happens with
+// less than 256 KiB of the body unread: unless the proxy's inbound
+// request is full duplex, net/http drains that remainder itself, racing
+// the transport that forwards it, and the stream is cut.
+func TestProxyStreamsWhileUploading(t *testing.T) {
+	fx := newProxyFixture(t, 0)
+	var b strings.Builder
+	b.WriteString("name,country,capital,city,conf\n")
+	for i := 0; b.Len() < 400<<10; i++ {
+		fmt.Fprintf(&b, "Ian%d,China,Shanghai,Hongkong,ICDE\n", i)
+	}
+	body := []byte(b.String())
+
+	resp, err := http.Post(fx.workerFor("acme").URL+"/t/acme/repair/csv", "text/csv", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != 200 {
+		t.Fatalf("direct stream = %d", resp.StatusCode)
+	}
+	direct := readBody(t, resp)
+
+	open := make(chan struct{})
+	req, err := http.NewRequest(http.MethodPost, fx.front.URL+"/t/acme/repair/csv",
+		&gatedReader{body: body, gate: 300 << 10, open: open, fallback: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.ContentLength = int64(len(body))
+	req.Header.Set("Content-Type", "text/csv")
+	resp, err = http.DefaultClient.Do(req)
+	close(open)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != 200 {
+		t.Fatalf("proxied stream = %d", resp.StatusCode)
+	}
+	proxied := readBody(t, resp)
+	if proxied != direct {
+		n := 0
+		for n < len(proxied) && n < len(direct) && proxied[n] == direct[n] {
+			n++
+		}
+		t.Fatalf("proxied stream: %d bytes differ from the %d direct bytes (first at %d); tail %q",
+			len(proxied), len(direct), n, proxied[max(0, len(proxied)-200):])
 	}
 }
 

@@ -145,50 +145,90 @@ func TestRequestLogCorrelation(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	// The log line is written after the handler returns; poll briefly.
-	type logLine struct {
-		Level     string `json:"level"`
-		Msg       string `json:"msg"`
-		Endpoint  string `json:"endpoint"`
-		Status    int    `json:"status"`
-		RequestID string `json:"request_id"`
-		TraceID   string `json:"trace_id"`
+	found := waitRequestLog(t, &buf, "/repair")
+	if found.Status != http.StatusRequestEntityTooLarge {
+		t.Errorf("logged status = %d, want 413", found.Status)
 	}
+	if found.Level != "WARN" {
+		t.Errorf("4xx logged at %s, want WARN", found.Level)
+	}
+	if found.RequestID != env.Error.RequestID {
+		t.Errorf("log request_id = %q, envelope has %q", found.RequestID, env.Error.RequestID)
+	}
+	if found.TraceID != env.Error.TraceID {
+		t.Errorf("log trace_id = %q, envelope has %q", found.TraceID, env.Error.TraceID)
+	}
+}
+
+// requestLogLine is the part of the structured request log line the tests
+// read.
+type requestLogLine struct {
+	Level     string `json:"level"`
+	Msg       string `json:"msg"`
+	Endpoint  string `json:"endpoint"`
+	Status    int    `json:"status"`
+	RequestID string `json:"request_id"`
+	TraceID   string `json:"trace_id"`
+}
+
+// waitRequestLog returns the first request log line for endpoint. The
+// line is written after the handler returns, so it polls briefly.
+func waitRequestLog(t *testing.T, buf *syncBuffer, endpoint string) requestLogLine {
+	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		var found *logLine
 		for _, line := range strings.Split(buf.String(), "\n") {
-			if line == "" {
-				continue
+			var ll requestLogLine
+			if json.Unmarshal([]byte(line), &ll) == nil && ll.Msg == "request" && ll.Endpoint == endpoint {
+				return ll
 			}
-			var ll logLine
-			if err := json.Unmarshal([]byte(line), &ll); err != nil {
-				continue
-			}
-			if ll.Msg == "request" && ll.Endpoint == "/repair" {
-				found = &ll
-				break
-			}
-		}
-		if found != nil {
-			if found.Status != http.StatusRequestEntityTooLarge {
-				t.Errorf("logged status = %d, want 413", found.Status)
-			}
-			if found.Level != "WARN" {
-				t.Errorf("4xx logged at %s, want WARN", found.Level)
-			}
-			if found.RequestID != env.Error.RequestID {
-				t.Errorf("log request_id = %q, envelope has %q", found.RequestID, env.Error.RequestID)
-			}
-			if found.TraceID != env.Error.TraceID {
-				t.Errorf("log trace_id = %q, envelope has %q", found.TraceID, env.Error.TraceID)
-			}
-			return
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("request log line never appeared; log:\n%s", buf.String())
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestStreamFailureAfterFirstByteCounted: a /repair/csv stream that fails
+// after its 200 status line and more than 256 KiB of output went out is
+// recorded as the failure it is. The client still sees the 200 and the
+// trailing envelope, but the error counter and the access log carry the
+// envelope's 400.
+func TestStreamFailureAfterFirstByteCounted(t *testing.T) {
+	var buf syncBuffer
+	_, srv := newOpsServer(t, Config{Logger: slog.New(slog.NewJSONHandler(&buf, nil))})
+	body, _ := travelCSV(30000)
+	body += "short,row\n"
+	resp, err := http.Post(srv.URL+"/repair/csv", "text/csv", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("status = %d, want 200 (the stream had started)", resp.StatusCode)
+	}
+	idx := bytes.Index(raw, []byte(`{"error"`))
+	if idx <= 256<<10 || !bytes.Contains(raw[idx:], []byte(codeBadStream)) {
+		t.Fatalf("want a %s envelope after more than 256 KiB of output; envelope at %d of %d bytes",
+			codeBadStream, idx, len(raw))
+	}
+	if ll := waitRequestLog(t, &buf, "/repair/csv"); ll.Status != http.StatusBadRequest || ll.Level != "WARN" {
+		t.Errorf("access log: status %d at %s, want 400 at WARN", ll.Status, ll.Level)
+	}
+	resp, err = http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics := readBody(t, resp)
+	for _, want := range []string{
+		`fixserve_errors_total{endpoint="/repair/csv",class="4xx"} 1`,
+		`fixserve_errors_total{endpoint="/repair/csv",class="5xx"} 0`,
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("metrics missing %s", want)
+		}
 	}
 }
 

@@ -125,45 +125,6 @@ func AppendCSVValueBytes(dst []byte, v []byte) []byte {
 	return append(dst, '"')
 }
 
-// hashBytesLoad64 reads 8 little-endian bytes of b at offset i.
-func hashBytesLoad64(b []byte, i int) uint64 {
-	_ = b[i+7]
-	return uint64(b[i]) | uint64(b[i+1])<<8 | uint64(b[i+2])<<16 | uint64(b[i+3])<<24 |
-		uint64(b[i+4])<<32 | uint64(b[i+5])<<40 | uint64(b[i+6])<<48 | uint64(b[i+7])<<56
-}
-
-// hashBytes samples the length and the first and last 8 bytes of b.
-// Unlike a plain xor fold, the first window is diffused before the last
-// is mixed in: for short keys the two windows overlap (at length 4..8
-// they can be equal), and h = (a ^ c) ^ z would cancel to a constant.
-// Callers ensure b is non-empty.
-func hashBytes(b []byte) uint32 {
-	n := len(b)
-	var a, z uint64
-	switch {
-	case n >= 8:
-		a = hashBytesLoad64(b, 0)
-		z = hashBytesLoad64(b, n-8)
-	case n >= 4:
-		a = uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24
-		z = uint64(b[n-4]) | uint64(b[n-3])<<8 | uint64(b[n-2])<<16 | uint64(b[n-1])<<24
-	default: // 1..3 bytes
-		a = uint64(b[0]) | uint64(b[n>>1])<<8 | uint64(b[n-1])<<16
-	}
-	return finishHash(a, z, n)
-}
-
-// finishHash mixes the sampled words; shared by the byte and string
-// hashes, which must agree exactly.
-func finishHash(a, z uint64, n int) uint32 {
-	h := (a ^ uint64(n)) * 0x9E3779B97F4A7C15
-	h = (h ^ z) * 0xC2B2AE3D27D4EB4F
-	h ^= h >> 29
-	h *= 0x165667B19E3779F9
-	h ^= h >> 32
-	return uint32(h)
-}
-
 // islot is one open-addressed intern slot; gid is stored +1 so the zero
 // value marks an empty slot.
 type islot struct {
@@ -202,7 +163,8 @@ func (t *internTable) find(b []byte) int32 {
 	if t.slots == nil {
 		return -1
 	}
-	i := hashBytes(b) & t.mask
+	h, _ := SampleHash(b)
+	i := h & t.mask
 	for {
 		sl := &t.slots[i]
 		if sl.gid == 0 {
@@ -233,7 +195,8 @@ func (t *internTable) intern(b []byte) int32 {
 	if (t.n+1)*2 > len(t.slots) {
 		t.grow()
 	}
-	i := hashBytes(b) & t.mask
+	h, _ := SampleHash(b)
+	i := h & t.mask
 	for t.slots[i].gid != 0 {
 		i = (i + 1) & t.mask
 	}
@@ -252,36 +215,13 @@ func (t *internTable) grow() {
 		if len(s) == 0 {
 			continue
 		}
-		i := sampleHashString(s) & t.mask
+		h, _ := SampleHash(s)
+		i := h & t.mask
 		for t.slots[i].gid != 0 {
 			i = (i + 1) & t.mask
 		}
 		t.slots[i] = islot{key: s, gid: int32(gid) + 1}
 	}
-}
-
-// sampleHashString must hash identically to hashBytes so rehashed slots
-// stay findable.
-func sampleHashString(s string) uint32 {
-	n := len(s)
-	var a, z uint64
-	switch {
-	case n >= 8:
-		a = stringLoad64(s, 0)
-		z = stringLoad64(s, n-8)
-	case n >= 4:
-		a = uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24
-		z = uint64(s[n-4]) | uint64(s[n-3])<<8 | uint64(s[n-2])<<16 | uint64(s[n-1])<<24
-	default:
-		a = uint64(s[0]) | uint64(s[n>>1])<<8 | uint64(s[n-1])<<16
-	}
-	return finishHash(a, z, n)
-}
-
-func stringLoad64(s string, i int) uint64 {
-	_ = s[i+7]
-	return uint64(s[i]) | uint64(s[i+1])<<8 | uint64(s[i+2])<<16 | uint64(s[i+3])<<24 |
-		uint64(s[i+4])<<32 | uint64(s[i+5])<<40 | uint64(s[i+6])<<48 | uint64(s[i+7])<<56
 }
 
 // add assigns b its chunk-local code in col, interning it when possible,

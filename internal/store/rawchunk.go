@@ -176,14 +176,6 @@ func tzBytes(m uint64) int {
 	return bits.TrailingZeros64(m) >> 3
 }
 
-// rawLoad64 reads 8 little-endian bytes of b at offset i (no bounds hint:
-// callers run right at the slice end).
-func rawLoad64(b []byte, i int) uint64 {
-	_ = b[i+7]
-	return uint64(b[i]) | uint64(b[i+1])<<8 | uint64(b[i+2])<<16 | uint64(b[i+3])<<24 |
-		uint64(b[i+4])<<32 | uint64(b[i+5])<<40 | uint64(b[i+6])<<48 | uint64(b[i+7])<<56
-}
-
 // addRawFastRow tries the fast path on a line: one word-at-a-time sweep
 // finds every comma and simultaneously screens for quotes and carriage
 // returns, so the common line is structured in a single pass with no
@@ -217,7 +209,7 @@ func (r *CSVChunkReader) addRawFastRow(c *RawChunk, ln []byte) (fast, plain bool
 	}
 	i := 0
 	for ; i+8 <= n; i += 8 {
-		w := rawLoad64(ln, i)
+		w := Load64(ln, i)
 		if swarMatch(w, '"')|swarMatch(w, '\r') != 0 {
 			c.Buf = c.Buf[:buf0]
 			return false, false, nil
