@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"runtime"
 	"testing"
 
 	"fixrule/internal/consistency"
@@ -126,7 +127,7 @@ func BenchmarkFig13RepairHosp(b *testing.B) {
 	})
 	b.Run("lRepair/parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rep.RepairRelationParallel(w.dirty, repair.Linear, 0)
+			rep.RepairRelation(w.dirty, repair.Linear, repair.RelationOptions{Workers: runtime.GOMAXPROCS(0)})
 		}
 	})
 }

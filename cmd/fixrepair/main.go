@@ -35,6 +35,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -106,6 +107,12 @@ func (tc traceConfig) newRecorder(needLog bool) *fixrule.ChaseRecorder {
 }
 
 func run(rulesPath, dataPath, outPath, logPath, alg string, workers, explain int, stream bool, tc traceConfig) error {
+	if explain >= 0 && workers > 1 {
+		return fmt.Errorf("-workers does not apply to -explain (provenance traces one row)")
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	var opts fixrule.StreamOptions
 	if stream {
 		if outPath == "" {
@@ -180,9 +187,6 @@ func run(rulesPath, dataPath, outPath, logPath, alg string, workers, explain int
 	}
 
 	if explain >= 0 {
-		if workers > 1 {
-			return fmt.Errorf("-workers does not apply to -explain (provenance traces one row)")
-		}
 		if explain >= rel.Len() {
 			return fmt.Errorf("-explain row %d out of range (%d rows)", explain, rel.Len())
 		}
@@ -192,7 +196,7 @@ func run(rulesPath, dataPath, outPath, logPath, alg string, workers, explain int
 
 	rec := tc.newRecorder(false)
 	start := time.Now()
-	res := rep.RepairRelationParallelRecorded(rel, algorithm, workers, rec)
+	res := rep.RepairRelation(rel, algorithm, fixrule.RelationOptions{Workers: workers, Recorder: rec})
 	elapsed := time.Since(start)
 
 	fmt.Printf("repaired %d rows with %d rules in %v (%s, %s)\n",

@@ -16,8 +16,8 @@ import (
 // engine against the string-level reference semantics in internal/core on
 // the two benchmark workloads (mined hosp and uis rulesets over dirtied
 // relations). For each dataset it fixes every tuple row-by-row with
-// core.Fix, then requires RepairRelation (both algorithms) and
-// RepairRelationParallel to produce byte-identical tuples and the same
+// core.Fix, then requires RepairRelation (both algorithms, sequential and
+// with 4 workers) to produce byte-identical tuples and the same
 // total step count — the dictionary encoding, inverted lists, bitmask
 // assured set and copy-on-write output must be pure optimisations.
 func TestCompiledRepairMatchesReference(t *testing.T) {
@@ -62,8 +62,8 @@ func TestCompiledRepairMatchesReference(t *testing.T) {
 			}
 			check("cRepair", rep.RepairRelation(w.dirty, repair.Chase))
 			check("lRepair", rep.RepairRelation(w.dirty, repair.Linear))
-			check("lRepair/parallel", rep.RepairRelationParallel(w.dirty, repair.Linear, 4))
-			check("cRepair/parallel", rep.RepairRelationParallel(w.dirty, repair.Chase, 4))
+			check("lRepair/parallel", rep.RepairRelation(w.dirty, repair.Linear, repair.RelationOptions{Workers: 4}))
+			check("cRepair/parallel", rep.RepairRelation(w.dirty, repair.Chase, repair.RelationOptions{Workers: 4}))
 		})
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"runtime"
 
 	"fixrule"
 	"fixrule/gen"
@@ -64,7 +65,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res := repairer.RepairRelationParallel(dirty, fixrule.Linear, 0)
+	parallel := fixrule.RelationOptions{Workers: runtime.GOMAXPROCS(0)}
+	res := repairer.RepairRelation(dirty, fixrule.Linear, parallel)
 	fmt.Printf("\nstep 3: applied %d repairs\n", res.Steps)
 
 	// Scoring (the pipeline never saw d.Rel until here).
@@ -83,7 +85,7 @@ func main() {
 		log.Fatal(err)
 	}
 	s2 := fixrule.Evaluate(d.Rel, dirty,
-		repairer2.RepairRelationParallel(dirty, fixrule.Linear, 0).Relation)
+		repairer2.RepairRelation(dirty, fixrule.Linear, parallel).Relation)
 	fmt.Println("supervised pipeline on the same data (for contrast):")
 	fmt.Println("  ", s2)
 }

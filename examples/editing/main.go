@@ -14,6 +14,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"runtime"
 
 	"fixrule"
 	"fixrule/editing"
@@ -74,7 +75,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fixRes := repairer.RepairRelationParallel(dirty, fixrule.Linear, 0)
+	fixRes := repairer.RepairRelation(dirty, fixrule.Linear, fixrule.RelationOptions{Workers: runtime.GOMAXPROCS(0)})
 	sFix := fixrule.Evaluate(d.Rel, dirty, fixRes.Relation)
 	fmt.Printf("\nfixing rules: 0 user interactions, %d applications\n", fixRes.Steps)
 	fmt.Println("fixing rules accuracy:", sFix)

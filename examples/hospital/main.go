@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"runtime"
 	"time"
 
 	"fixrule"
@@ -66,7 +67,8 @@ func main() {
 		log.Fatal(err)
 	}
 	start = time.Now()
-	resLinear := repairer.RepairRelationParallel(dirty, fixrule.Linear, 0)
+	parallel := fixrule.RelationOptions{Workers: runtime.GOMAXPROCS(0)}
+	resLinear := repairer.RepairRelation(dirty, fixrule.Linear, parallel)
 	tLinear := time.Since(start)
 	start = time.Now()
 	resChase := repairer.RepairRelation(dirty, fixrule.Chase)
@@ -109,9 +111,9 @@ func main() {
 		log.Fatal(err)
 	}
 	onNewBase := fixrule.Evaluate(d.Rel, dirty2,
-		repairer.RepairRelationParallel(dirty2, fixrule.Linear, 0).Relation)
+		repairer.RepairRelation(dirty2, fixrule.Linear, parallel).Relation)
 	onNewRich := fixrule.Evaluate(d.Rel, dirty2,
-		repairRich.RepairRelationParallel(dirty2, fixrule.Linear, 0).Relation)
+		repairRich.RepairRelation(dirty2, fixrule.Linear, parallel).Relation)
 	fmt.Printf("\ngeneralisation to a second dirty copy (%d fresh errors):\n", len(errs2))
 	fmt.Println("  mined rules:   ", onNewBase)
 	fmt.Println("  enriched rules:", onNewRich)

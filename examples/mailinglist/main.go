@@ -9,6 +9,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"runtime"
 
 	"fixrule"
 	"fixrule/gen"
@@ -43,8 +44,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	parallel := fixrule.RelationOptions{Workers: runtime.GOMAXPROCS(0)}
 	base := fixrule.Evaluate(d.Rel, dirty,
-		repairer.RepairRelationParallel(dirty, fixrule.Linear, 0).Relation)
+		repairer.RepairRelation(dirty, fixrule.Linear, parallel).Relation)
 	fmt.Println("mined rules:", base)
 
 	// Why is recall so low? An error is detectable only when its tuple
@@ -74,7 +76,7 @@ func main() {
 			log.Fatal(err)
 		}
 		s := fixrule.Evaluate(d.Rel, dirty,
-			r.RepairRelationParallel(dirty, fixrule.Linear, 0).Relation)
+			r.RepairRelation(dirty, fixrule.Linear, parallel).Relation)
 		fmt.Printf("  %3d rules: recall %.4f at precision %.4f\n",
 			sub.Len(), s.Recall, s.Precision)
 	}

@@ -223,13 +223,18 @@ const (
 	Fcol = repair.Fcol
 )
 
+// RelationOptions configures Repairer.RepairRelation: the worker count
+// (<= 1 is sequential on the caller's goroutine) and an optional
+// ChaseRecorder. The RepairResult is identical at any worker count.
+type RelationOptions = repair.RelationOptions
+
 // ChaseRecorder captures per-tuple chase traces — which rules fired on
-// which rows, in what order, with the assured-set evolution — from the
-// Recorded repair variants and Repairer.Stream (StreamOptions.Recorder). A
-// nil recorder is free. With an unlimited tuple cap the recorded rows are
-// deterministic in (seed, sample rate), identical at any worker count;
-// with a finite cap, which sampled rows land under the cap follows worker
-// arrival order.
+// which rows, in what order, with the assured-set evolution — from
+// Repairer.RepairRelation (RelationOptions.Recorder) and Repairer.Stream
+// (StreamOptions.Recorder). A nil recorder is free. With an unlimited
+// tuple cap the recorded rows are deterministic in (seed, sample rate),
+// identical at any worker count; with a finite cap, which sampled rows
+// land under the cap follows worker arrival order.
 type ChaseRecorder = repair.ChaseRecorder
 
 // DefaultRecorderTuples is the tuple cap NewChaseRecorder applies when

@@ -93,7 +93,9 @@ func BenchRepair(cfg Config, ds string) ([]RepairBench, error) {
 	}{
 		{"cRepair", func() { rep.RepairRelation(w.dirty, repair.Chase) }},
 		{"lRepair", func() { rep.RepairRelation(w.dirty, repair.Linear) }},
-		{"lRepair/parallel", func() { rep.RepairRelationParallel(w.dirty, repair.Linear, 0) }},
+		{"lRepair/parallel", func() {
+			rep.RepairRelation(w.dirty, repair.Linear, repair.RelationOptions{Workers: runtime.GOMAXPROCS(0)})
+		}},
 		{"lRepair/stream", stream(1)},
 		{"lRepair/stream-parallel", stream(0)},
 	} {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 
 	"fixrule/internal/csm"
@@ -24,7 +25,7 @@ func fixScores(cfg Config, w *workload, budget int) (metrics.Scores, *repair.Res
 	if err != nil {
 		return metrics.Scores{}, nil, err
 	}
-	res := rep.RepairRelationParallel(w.dirty, repair.Linear, 0)
+	res := rep.RepairRelation(w.dirty, repair.Linear, repair.RelationOptions{Workers: runtime.GOMAXPROCS(0)})
 	return metrics.Evaluate(w.ds.Rel, w.dirty, res.Relation), res, nil
 }
 
@@ -234,7 +235,7 @@ func Fig11(cfg Config) ([]*Table, error) {
 			// Trimming cannot create conflicts, but guard anyway.
 			return nil, err
 		}
-		res := rep.RepairRelationParallel(w.dirty, repair.Linear, 0)
+		res := rep.RepairRelation(w.dirty, repair.Linear, repair.RelationOptions{Workers: runtime.GOMAXPROCS(0)})
 		s := metrics.Evaluate(w.ds.Rel, w.dirty, res.Relation)
 		bx = append(bx, float64(budget))
 		bPrec = append(bPrec, s.Precision)
@@ -281,7 +282,7 @@ func Fig12(cfg Config) ([]*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := rep.RepairRelationParallel(w.dirty, repair.Linear, 0)
+	res := rep.RepairRelation(w.dirty, repair.Linear, repair.RelationOptions{Workers: runtime.GOMAXPROCS(0)})
 
 	// (a) corrections per rule, sorted descending.
 	counts := make([]int, 0, rs.Len())

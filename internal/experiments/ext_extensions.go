@@ -6,6 +6,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 
 	"fixrule/internal/core"
 	"fixrule/internal/editrule"
@@ -126,7 +127,7 @@ func ExtDiscover(cfg Config) ([]*Table, error) {
 
 		for i, rs := range []*core.Ruleset{expert, discovered, masterRules, autoRules} {
 			rep := repair.NewRepairer(rs)
-			res := rep.RepairRelationParallel(w.dirty, repair.Linear, 0)
+			res := rep.RepairRelation(w.dirty, repair.Linear, repair.RelationOptions{Workers: runtime.GOMAXPROCS(0)})
 			s := metrics.Evaluate(w.ds.Rel, w.dirty, res.Relation)
 			switch i {
 			case 0:

@@ -1,7 +1,6 @@
 package repair
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
@@ -64,10 +63,11 @@ const DefaultRecorderTuples = 256
 const droppedSetMax = 4 * DefaultRecorderTuples
 
 // A ChaseRecorder collects TupleTraces from a repair run. It is handed to
-// the Recorded repair variants (and StreamOptions.Recorder); a nil
-// recorder is free. Recording locks a mutex, but only for tuples that were
-// actually changed on sampled rows, so throughput impact tracks the error
-// rate, not the row rate. Safe for concurrent use by parallel workers.
+// RepairRelation (RelationOptions.Recorder) or Stream
+// (StreamOptions.Recorder); a nil recorder is free. Recording locks a
+// mutex, but only for tuples that were actually changed on sampled rows,
+// so throughput impact tracks the error rate, not the row rate. Safe for
+// concurrent use by parallel workers.
 type ChaseRecorder struct {
 	max  int
 	rate float64
@@ -173,9 +173,8 @@ func (cr *ChaseRecorder) record(row int, pos int32, rule *core.Rule, old string)
 			assured[a] = struct{}{}
 		}
 	}
+	step.Evidence = evidencePairs(rule)
 	for _, a := range rule.EvidenceAttrs() {
-		v, _ := rule.EvidenceValue(a)
-		step.Evidence = append(step.Evidence, fmt.Sprintf("%s=%q", a, v))
 		assured[a] = struct{}{}
 	}
 	assured[rule.Target()] = struct{}{}

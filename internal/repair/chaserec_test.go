@@ -23,7 +23,7 @@ func TestChaseRecorderMatchesRepairlog(t *testing.T) {
 	rel := fig1Relation()
 	for _, alg := range []Algorithm{Chase, Linear} {
 		rec := NewChaseRecorder(-1, 1, 0)
-		res := r.RepairRelationRecorded(rel, alg, rec)
+		res := r.RepairRelation(rel, alg, RelationOptions{Recorder: rec})
 		want := repairlog.FromResult(rel, res.Relation, res.Changed)
 		got := rec.Log()
 		if !reflect.DeepEqual(got, want) {
@@ -39,7 +39,7 @@ func TestChaseRecorderStepContents(t *testing.T) {
 	r := NewRepairer(paperRuleset())
 	rel := fig1Relation()
 	rec := NewChaseRecorder(-1, 1, 0)
-	r.RepairRelationRecorded(rel, Linear, rec)
+	r.RepairRelation(rel, Linear, RelationOptions{Recorder: rec})
 	tuples := rec.Tuples()
 	if len(tuples) != 3 {
 		t.Fatalf("recorded %d tuples, want 3 (rows 1..3)", len(tuples))
@@ -323,10 +323,10 @@ func TestRecorderDisabledZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestRepairRelationParallelRecordedMatchesSequential: batch parallel
-// recording agrees with sequential on a relation large enough to spread
-// over many chunks.
-func TestRepairRelationParallelRecordedMatchesSequential(t *testing.T) {
+// TestRepairRelationRecorderWorkersMatchSequential: recording a relation
+// repair with 4 workers agrees with sequential on a relation large enough
+// to spread over many chunks.
+func TestRepairRelationRecorderWorkersMatchSequential(t *testing.T) {
 	r := NewRepairer(paperRuleset())
 	rel := schema.NewRelation(travel())
 	for i := 0; i < 2000; i++ {
@@ -340,9 +340,9 @@ func TestRepairRelationParallelRecordedMatchesSequential(t *testing.T) {
 		}
 	}
 	seqRec := NewChaseRecorder(-1, 1, 9)
-	seqRes := r.RepairRelationRecorded(rel, Linear, seqRec)
+	seqRes := r.RepairRelation(rel, Linear, RelationOptions{Recorder: seqRec})
 	parRec := NewChaseRecorder(-1, 1, 9)
-	parRes := r.RepairRelationParallelRecorded(rel, Linear, 4, parRec)
+	parRes := r.RepairRelation(rel, Linear, RelationOptions{Workers: 4, Recorder: parRec})
 	if !reflect.DeepEqual(seqRec.Tuples(), parRec.Tuples()) {
 		t.Fatal("parallel recorded traces differ from sequential")
 	}

@@ -33,7 +33,7 @@ func TestStreamCSVColumnarByteIdentical(t *testing.T) {
 	in := relationCSV(t, skewedRelation(4000))
 
 	for _, alg := range []Algorithm{Linear, Chase} {
-		want, wantStats, err := referenceStream(r, in, alg, nil)
+		want, wantStats, err := referenceStream(r, in, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -192,7 +192,7 @@ func TestStreamCSVColumnarRecorder(t *testing.T) {
 	in := relationCSV(t, rel)
 
 	want := NewChaseRecorder(-1, 1, 0)
-	r.RepairRelationRecorded(rel, Linear, want)
+	r.RepairRelation(rel, Linear, RelationOptions{Recorder: want})
 	if want.Len() == 0 {
 		t.Fatal("no traces recorded")
 	}

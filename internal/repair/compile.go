@@ -376,38 +376,29 @@ const (
 	encPageSize = 1 << encPageBits
 )
 
-// encodeRows encodes relation rows [lo, hi) into the code matrix, row by
-// row: the value tables are a few KB each and stay cache-resident for the
-// whole sweep, while each tuple's string backing is touched at most once, in
-// heap-allocation order. Only attributes Σ mentions are written; the chase
-// never reads the rest, so a pooled, uncleared matrix is safe.
+// encodeMemo is encodeInto through sc's pointer memo, for relation rows:
+// the value tables are a few KB each and stay cache-resident across rows,
+// while a cell whose string object was encoded before costs one compare.
 //
 //fix:hotpath
-func (c *compiled) encodeRows(rel *schema.Relation, m *schema.Codes, lo, hi int, sc *codedScratch) {
-	rows := rel.Rows()
-	buf := m.Data()
-	relevant, tables := c.relevant, c.tables
+func (c *compiled) encodeMemo(t schema.Tuple, row []uint32, sc *codedScratch) {
 	keys, encs := sc.encKeys, sc.encCodes
-	for i := lo; i < hi; i++ {
-		row := rows[i]
-		off := i * c.arity
-		for k, a := range relevant {
-			s := row[a]
-			if len(s) == 0 {
-				buf[off+int(a)] = tables[a].emptyCode
-				continue
-			}
-			p := unsafe.StringData(s)
-			slot := k<<encPageBits | int(uintptr(unsafe.Pointer(p))>>4)&(encPageSize-1)
-			if ek := keys[slot]; len(ek) == len(s) && unsafe.StringData(ek) == p {
-				buf[off+int(a)] = encs[slot]
-				continue
-			}
-			code := tables[a].code(s)
-			keys[slot] = s
-			encs[slot] = code
-			buf[off+int(a)] = code
+	for k, a := range c.relevant {
+		s := t[a]
+		if len(s) == 0 {
+			row[a] = c.tables[a].emptyCode
+			continue
 		}
+		p := unsafe.StringData(s)
+		slot := k<<encPageBits | int(uintptr(unsafe.Pointer(p))>>4)&(encPageSize-1)
+		if ek := keys[slot]; len(ek) == len(s) && unsafe.StringData(ek) == p {
+			row[a] = encs[slot]
+			continue
+		}
+		code := c.tables[a].code(s)
+		keys[slot] = s
+		encs[slot] = code
+		row[a] = code
 	}
 }
 
@@ -427,7 +418,7 @@ type codedScratch struct {
 
 	// reps records the raw stream engine's applied rules in the current
 	// chunk (rawcsv.go).
-	reps []rawRepair
+	reps []rowRepair
 }
 
 func (sc *codedScratch) resetAssured() {

@@ -108,7 +108,7 @@ func stepsEqual(a, b []core.Step) bool {
 	return true
 }
 
-// TestParallelAndTupleRepairsShareRepairer drives RepairRelationParallel
+// TestParallelAndTupleRepairsShareRepairer drives a parallel RepairRelation
 // concurrently with single-tuple repairs on one shared Repairer — the
 // supported concurrent-use contract. Run with -race this also proves the
 // scratch pool and encode memo are properly goroutine-local.
@@ -124,7 +124,7 @@ func TestParallelAndTupleRepairsShareRepairer(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				res := r.RepairRelationParallel(rel, Linear, 3)
+				res := r.RepairRelation(rel, Linear, RelationOptions{Workers: 3})
 				if res.Steps != seq.Steps {
 					t.Errorf("worker %d: parallel steps %d != sequential %d", w, res.Steps, seq.Steps)
 					return

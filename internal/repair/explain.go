@@ -53,6 +53,18 @@ func (e *Explanation) String() string {
 	return b.String()
 }
 
+// evidencePairs renders a rule's evidence as attr="value" pairs, in
+// evidence-attribute order: the Evidence of a StepExplanation and of a
+// TraceStep.
+func evidencePairs(rule *core.Rule) []string {
+	var pairs []string
+	for _, a := range rule.EvidenceAttrs() {
+		v, _ := rule.EvidenceValue(a)
+		pairs = append(pairs, fmt.Sprintf("%s=%q", a, v))
+	}
+	return pairs
+}
+
 // Explain repairs t with the chosen algorithm and returns the full
 // provenance. The input tuple is not modified.
 func (r *Repairer) Explain(t schema.Tuple, alg Algorithm) *Explanation {
@@ -60,15 +72,12 @@ func (r *Repairer) Explain(t schema.Tuple, alg Algorithm) *Explanation {
 	e := &Explanation{Input: t.Clone(), Output: fixed}
 	assured := map[string]struct{}{}
 	for _, s := range steps {
-		var evidence []string
 		for _, a := range s.Rule.EvidenceAttrs() {
-			v, _ := s.Rule.EvidenceValue(a)
-			evidence = append(evidence, fmt.Sprintf("%s=%q", a, v))
 			assured[a] = struct{}{}
 		}
 		assured[s.Attr] = struct{}{}
 		e.Steps = append(e.Steps, StepExplanation{
-			Rule: s.Rule, Evidence: evidence,
+			Rule: s.Rule, Evidence: evidencePairs(s.Rule),
 			Attr: s.Attr, From: s.From, To: s.To,
 		})
 	}

@@ -15,15 +15,16 @@ import (
 )
 
 // This file is the streaming surface: the one entry point, Stream, and the
-// chunk pipeline every stream runs on — a bounded unit pool, a reader
-// goroutine, repair+render workers with private statistics, and a
-// re-sequencing writer on the caller's goroutine. Two engines plug into
-// it: the raw engine (rawcsv.go) for CSV to CSV, and the dictionary engine
-// (columnar.go) for fcol output. lRepair and cRepair (Section 6) are
-// defined one tuple at a time, so how a stream is parsed or chunked cannot
-// change an output byte: the output and the StreamStats are identical at
-// any worker count and chunk size, and equal to an in-memory
-// RepairRelation over the same rows (FuzzStreamMatchesReference). Memory
+// chunk pipeline every repair of more than one tuple runs on — a bounded
+// unit pool, a reader goroutine, repair+render workers with private
+// statistics, and a re-sequencing writer on the caller's goroutine. Three
+// engines plug into it: the raw engine (rawcsv.go) for CSV to CSV, the
+// dictionary engine (columnar.go) for fcol output, and the relation
+// engine (relation.go) behind RepairRelation. lRepair and cRepair
+// (Section 6) are defined one tuple at a time, so how a stream is parsed
+// or chunked cannot change an output byte: the output and the StreamStats
+// are identical at any worker count and chunk size, and equal to the
+// core.Fix reference over the same rows (FuzzStreamMatchesReference). Memory
 // stays constant in the input size — at most 2*Workers+2 chunks exist at
 // any moment — which suits the data-monitoring deployment the paper
 // contrasts with editing rules: fixing rules repair a stream of incoming
@@ -190,7 +191,7 @@ func (rp *Repairer) streamRaw(ctx context.Context, sp *trace.Span, r io.Reader, 
 		return nil, err
 	}
 	read := func(c *store.RawChunk) (int, error) { return cr.ReadRawChunk(c, opts.ChunkRows) }
-	emit := func(b []byte) error { _, err := bw.Write(b); return err }
+	emit := writeSpans[store.RawChunk](func(b []byte) error { _, err := bw.Write(b); return err })
 	stats, err := streamChunks(ctx, rp, sp, opts, read, emit, rp.getScratch, rp.putScratch,
 		func(sc *codedScratch, u *rawUnit, acc *streamAccData) {
 			rp.repairRawChunk(&u.chunk, sc, alg, acc, opts.Recorder, u.rowBase)
@@ -238,7 +239,7 @@ func (rp *Repairer) streamDict(ctx context.Context, sp *trace.Span, r io.Reader,
 	if err != nil {
 		return nil, err
 	}
-	stats, err := streamChunks(ctx, rp, sp, opts, read, cw.WriteFrame,
+	stats, err := streamChunks(ctx, rp, sp, opts, read, writeSpans[store.ColChunk](cw.WriteFrame),
 		func() *colScratch { return newColScratch(rp) },
 		func(cs *colScratch) { cs.release(rp) },
 		func(cs *colScratch, u *colUnit, acc *streamAccData) {
@@ -286,15 +287,35 @@ func attrsMatch(a, b *schema.Schema) bool {
 }
 
 // chunkUnit is one pipeline work unit: a chunk plus its rendered output,
-// reused through the fixed pool. spans is what the writer emits, in order;
-// each span may view out or the chunk's own buffers (both stay untouched
-// until the unit is recycled, which happens only after the emit).
+// reused through the fixed pool. spans is what a stream's writer emits, in
+// order; each span may view out or the chunk's own buffers (both stay
+// untouched until the unit is recycled, which happens only after the emit).
 type chunkUnit[C any] struct {
 	seq     int64
 	rowBase int
 	chunk   C
 	out     []byte
 	spans   [][]byte
+}
+
+// rowRepair records one applied rule: chunk-local row and rule position
+// (target and fact resolve through the ruleset). Engines append repairs in
+// row then application order.
+type rowRepair struct {
+	row int32
+	pos int32
+}
+
+// writeSpans is a stream engine's emit: the unit's spans, in order.
+func writeSpans[C any](write func([]byte) error) func(*chunkUnit[C]) error {
+	return func(u *chunkUnit[C]) error {
+		for _, s := range u.spans {
+			if err := write(s); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 }
 
 // streamAccData is one worker's private share of the final StreamStats.
@@ -319,12 +340,15 @@ type streamAcc struct {
 	_ [64]byte
 }
 
-// newStreamAccs allocates n zeroed worker accumulators.
+// newStreamAccs allocates n zeroed worker accumulators. Each counter
+// slice carries a cache line of unused capacity: the workers' slices are
+// allocated back to back, and without the slack two workers' oovBy — which
+// the raw engine writes for every cell — would share a cache line.
 func (rp *Repairer) newStreamAccs(n int) []streamAcc {
 	accs := make([]streamAcc, n)
 	for i := range accs {
-		accs[i].perRule = make([]int32, len(rp.rules))
-		accs[i].oovBy = make([]int64, rp.c.arity)
+		accs[i].perRule = make([]int32, len(rp.rules), len(rp.rules)+64/4)
+		accs[i].oovBy = make([]int64, rp.c.arity, rp.c.arity+64/8)
 	}
 	return accs
 }
@@ -358,12 +382,12 @@ func (rp *Repairer) statsFromAccs(accs []streamAcc, rows int) *StreamStats {
 
 // streamChunks is the engine-agnostic pipeline: a bounded unit pool, a
 // reader goroutine, repair+render workers, and a re-sequencing writer on
-// the caller's goroutine. process repairs and renders one unit into
-// u.spans using worker-local state S; newState/release bracket each
-// worker's scratch lifetime. Each worker records a child span of sp.
-// Workers == 1 short-circuits to a fully sequential loop.
+// the caller's goroutine. process repairs one unit using worker-local
+// state S; newState/release bracket each worker's scratch lifetime; emit
+// receives the finished units in input order. Each worker records a child
+// span of sp. Workers == 1 short-circuits to a fully sequential loop.
 func streamChunks[C, S any](ctx context.Context, rp *Repairer, sp *trace.Span, opts StreamOptions,
-	read func(*C) (int, error), emit func([]byte) error,
+	read func(*C) (int, error), emit func(*chunkUnit[C]) error,
 	newState func() S, release func(S),
 	process func(S, *chunkUnit[C], *streamAccData),
 ) (*StreamStats, error) {
@@ -471,11 +495,7 @@ func streamChunks[C, S any](ctx context.Context, rp *Repairer, sp *trace.Span, o
 			delete(pending, next)
 			next++
 			if writeErr == nil {
-				for _, s := range c.spans {
-					if writeErr = emit(s); writeErr != nil {
-						break
-					}
-				}
+				writeErr = emit(c)
 			}
 			recycle <- c // cap(recycle) == poolSize: never blocks
 		}
@@ -493,7 +513,7 @@ func streamChunks[C, S any](ctx context.Context, rp *Repairer, sp *trace.Span, o
 // streamChunksSeq is the single-threaded pipeline: no goroutines, no
 // channels — read, repair, render, emit.
 func streamChunksSeq[C, S any](ctx context.Context, rp *Repairer,
-	read func(*C) (int, error), emit func([]byte) error,
+	read func(*C) (int, error), emit func(*chunkUnit[C]) error,
 	newState func() S, release func(S),
 	process func(S, *chunkUnit[C], *streamAccData),
 ) (*StreamStats, error) {
@@ -516,10 +536,8 @@ func streamChunksSeq[C, S any](ctx context.Context, rp *Repairer,
 		u.rowBase = rowBase
 		rowBase += n
 		process(ws, u, &accs[0].streamAccData)
-		for _, s := range u.spans {
-			if err := emit(s); err != nil {
-				return nil, err
-			}
+		if err := emit(u); err != nil {
+			return nil, err
 		}
 	}
 	return rp.statsFromAccs(accs, rowBase), nil

@@ -19,14 +19,6 @@ import "fixrule/internal/store"
 // rawUnit is the raw-chunk pipeline instantiation.
 type rawUnit = chunkUnit[store.RawChunk]
 
-// rawRepair records one applied rule: chunk-local row and rule position
-// (target and fact resolve through the ruleset). repairRawChunk appends
-// repairs in row order, which is the order the renderer walks.
-type rawRepair struct {
-	row int32
-	pos int32
-}
-
 // codeRawRow codes the Σ-relevant cells of the raw row starting at cell
 // index off into row, OR-ing together the cells' flags and adding
 // out-of-vocabulary counts to oovBy. Returns the OR and the row's OOV
@@ -83,7 +75,7 @@ func (rp *Repairer) repairRawChunk(c *store.RawChunk, sc *codedScratch, alg Algo
 				rule := rp.rules[pos]
 				rec.record(rowBase+i, pos, rule, string(c.Cell(i, rule.TargetIndex())))
 			}
-			reps = append(reps, rawRepair{row: int32(i), pos: pos})
+			reps = append(reps, rowRepair{row: int32(i), pos: pos})
 			acc.perRule[pos]++
 		}
 	}
@@ -95,7 +87,7 @@ func (rp *Repairer) repairRawChunk(c *store.RawChunk, sc *codedScratch, alg Algo
 // target becomes assured), so the first match wins.
 //
 //fix:hotpath
-func (rp *Repairer) renderRawRow(dst []byte, c *store.RawChunk, i int, rowReps []rawRepair) []byte {
+func (rp *Repairer) renderRawRow(dst []byte, c *store.RawChunk, i int, rowReps []rowRepair) []byte {
 	off := i * c.Arity
 	cstart, _ := c.RowSpan(i)
 	for a := 0; a < c.Arity; a++ {
@@ -125,7 +117,7 @@ func (rp *Repairer) renderRawRow(dst []byte, c *store.RawChunk, i int, rowReps [
 // them are re-rendered into u.out. u.out is sized up front from a safe
 // per-row bound (quoting at most doubles a field and adds two quotes) so
 // the recorded views never move.
-func (rp *Repairer) buildSpans(u *rawUnit, reps []rawRepair) {
+func (rp *Repairer) buildSpans(u *rawUnit, reps []rowRepair) {
 	c := &u.chunk
 	spans := u.spans[:0]
 	if c.AllPlain && len(reps) == 0 {

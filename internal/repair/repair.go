@@ -20,11 +20,7 @@ package repair
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
 	"sync"
-	"sync/atomic"
-	"unsafe"
 
 	"fixrule/internal/consistency"
 	"fixrule/internal/core"
@@ -63,20 +59,7 @@ type Repairer struct {
 	c       *compiled
 	needed  []int32 // |Xφ| per rule position
 	scratch sync.Pool
-	codes   sync.Pool // *schema.Codes matrices for batch repairs
 }
-
-// getCodes returns a pooled n-row code matrix. Its contents are stale;
-// encodeRows overwrites every cell the chase reads.
-func (r *Repairer) getCodes(n int) *schema.Codes {
-	if m, ok := r.codes.Get().(*schema.Codes); ok {
-		m.Reset(n, r.c.arity)
-		return m
-	}
-	return schema.NewCodes(n, r.c.arity)
-}
-
-func (r *Repairer) putCodes(m *schema.Codes) { r.codes.Put(m) }
 
 // NewRepairer builds a Repairer over Σ, compiling the ruleset to integer
 // form. It does not verify consistency; use NewRepairerChecked when the
@@ -146,243 +129,20 @@ func (r *Repairer) RepairTuple(t schema.Tuple, alg Algorithm) (schema.Tuple, []c
 	return fixed, steps
 }
 
-// Result summarises a relation-level repair.
+// Result summarises a relation-level repair. Its embedded StreamStats
+// carries the counts a stream reports, from the same fold: Rows, Repaired,
+// Steps, OOV (Σ-relevant input cells outside the ruleset's vocabulary,
+// counted before repair; see Repairer.OOVCells), OOVByAttr, and PerRule —
+// how many errors each rule corrected, the quantity plotted in Figure
+// 12(a).
 type Result struct {
+	StreamStats
 	// Relation is the repaired relation. It is copy-on-write: rows no rule
 	// changed are shared with the input relation, and only repaired rows are
 	// fresh tuples. The input is never modified, but both relations must be
 	// treated as frozen afterwards — writing through either one's tuples
 	// would show through the other.
 	Relation *schema.Relation
-	// Changed lists every modified cell.
+	// Changed lists every modified cell, in row then application order.
 	Changed []schema.Cell
-	// Steps is the total number of rule applications.
-	Steps int
-	// OOV is the number of Σ-relevant cells whose input values were outside
-	// the ruleset's vocabulary (counted before repair; see Repairer.OOVCells).
-	OOV int
-	// OOVByAttr breaks OOV down by attribute name (nil when OOV is 0).
-	OOVByAttr map[string]int
-	// PerRule counts, for each rule name, how many errors it corrected —
-	// the quantity plotted in Figure 12(a).
-	PerRule map[string]int
-}
-
-// record accounts one rule application at row i of the output rows,
-// cloning the shared input tuple on first write.
-func (res *Result) record(rows []schema.Tuple, src *schema.Relation, i int, rule *core.Rule) {
-	if len(res.Changed) == 0 || res.Changed[len(res.Changed)-1].Row != i {
-		rows[i] = src.Row(i).Clone()
-	}
-	rows[i][rule.TargetIndex()] = rule.Fact()
-	res.Steps++
-	res.PerRule[rule.Name()]++
-	res.Changed = append(res.Changed, schema.Cell{Row: i, Attr: rule.Target()})
-}
-
-// RepairRelation repairs every tuple of rel with the chosen algorithm.
-// The whole relation is encoded into one code matrix up front and the output
-// shares every unchanged row with the input (see Result.Relation), so the
-// per-tuple cost is the integer chase alone.
-func (r *Repairer) RepairRelation(rel *schema.Relation, alg Algorithm) *Result {
-	return r.RepairRelationRecorded(rel, alg, nil)
-}
-
-// RepairRelationRecorded is RepairRelation with an optional chase recorder
-// capturing per-tuple provenance (a nil recorder is free). The recording
-// hook sits on the string write-back, not the coded chase, so the repair
-// itself is unchanged.
-func (r *Repairer) RepairRelationRecorded(rel *schema.Relation, alg Algorithm, rec *ChaseRecorder) *Result {
-	n := rel.Len()
-	res := &Result{PerRule: make(map[string]int)}
-	rows := make([]schema.Tuple, n)
-	copy(rows, rel.Rows())
-	codes := r.getCodes(n)
-	sc := r.getScratch()
-	r.c.encodeRows(rel, codes, 0, n, sc)
-	oovAcc := make([]int64, r.c.arity)
-	for i := 0; i < n; i++ {
-		row := codes.Row(i)
-		res.OOV += r.c.countOOVInto(row, oovAcc)
-		for _, pos := range r.repairEncoded(row, sc, alg) {
-			rule := r.rules[pos]
-			if rec != nil {
-				// rows[i] aliases the input row until record's first-write
-				// clone, then the clone: either way it holds the current
-				// pre-write value of the target cell.
-				rec.record(i, pos, rule, rows[i][rule.TargetIndex()])
-			}
-			res.record(rows, rel, i, rule)
-		}
-	}
-	r.putScratch(sc)
-	r.putCodes(codes)
-	res.OOVByAttr = r.oovByAttr(oovAcc)
-	res.Relation = schema.FromRows(rel.Schema(), rows)
-	return res
-}
-
-// rowStep is one rule application collected by a parallel worker.
-type rowStep struct {
-	row int32
-	pos int32 // rule position in Σ
-}
-
-// parallelChunk is the number of rows in one parallel work unit. Small
-// enough that skewed rows (a run of heavily-repaired tuples) spread over
-// many units instead of landing in one worker's stripe, large enough that
-// the atomic claim and the chunk-boundary cache-line sharing on the shared
-// rows/codes arrays are noise.
-const parallelChunk = 256
-
-// tupleArena batch-allocates the cloned rows a worker materialises: one
-// []string block per page instead of one allocation per repaired row.
-// Carved tuples are full-capacity slices, so appends can never bleed into a
-// neighbour.
-type tupleArena struct {
-	free []string
-}
-
-const arenaPageStrings = 4096
-
-func (a *tupleArena) clone(t schema.Tuple) schema.Tuple {
-	n := len(t)
-	if len(a.free) < n {
-		size := arenaPageStrings
-		if n > size {
-			size = n
-		}
-		a.free = make([]string, size)
-	}
-	out := schema.Tuple(a.free[:n:n])
-	a.free = a.free[n:]
-	copy(out, t)
-	return out
-}
-
-// parAccData is one worker's private accounting: OOV total, collected rule
-// applications, and the clone arena. Merged once after the pool drains.
-type parAccData struct {
-	oov   int
-	oovBy []int64
-	steps []rowStep
-	arena tupleArena
-}
-
-// parAcc pads the accumulator to a cache-line multiple so adjacent workers
-// indexing a shared accumulator slice never write the same line.
-//
-//fix:padded
-type parAcc struct {
-	parAccData
-	_ [(128 - unsafe.Sizeof(parAccData{})%128) % 128]byte
-}
-
-// RepairRelationParallel is RepairRelation with a worker pool; tuples are
-// independent, so the result is identical. workers <= 0 selects GOMAXPROCS.
-//
-// Scheduling is work-stealing in spirit: rows are split into fixed
-// parallelChunk-sized units and workers claim the next unit with one atomic
-// add, so a skewed region (many repairs concentrated in few rows) is spread
-// across the pool instead of serialising one worker. Each worker encodes,
-// repairs and materialises the rows of its claimed units, accumulating OOV
-// counts and applied steps in a private padded accumulator and carving
-// changed-row clones from a private arena. The merge sorts the collected
-// steps by row (stable, so within-row application order survives), which
-// reproduces the sequential Changed / Steps / PerRule accounting exactly.
-func (r *Repairer) RepairRelationParallel(rel *schema.Relation, alg Algorithm, workers int) *Result {
-	return r.RepairRelationParallelRecorded(rel, alg, workers, nil)
-}
-
-// RepairRelationParallelRecorded is RepairRelationParallel with an
-// optional chase recorder. Recording is keyed by global row number, so
-// with an unlimited tuple cap (maxTuples < 0) the captured traces are
-// identical to the sequential ones at any worker count. With a finite cap
-// the sampled rows are still the same, but which of them are admitted
-// before the cap fills depends on worker arrival order — a capped
-// parallel run may retain a different subset than a sequential one.
-func (r *Repairer) RepairRelationParallelRecorded(rel *schema.Relation, alg Algorithm, workers int, rec *ChaseRecorder) *Result {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	n := rel.Len()
-	nChunks := (n + parallelChunk - 1) / parallelChunk
-	if workers > nChunks {
-		workers = nChunks
-	}
-	if workers <= 1 {
-		// One worker (or a sub-chunk relation): the pool would only add
-		// goroutine and atomic overhead to the identical result.
-		return r.RepairRelationRecorded(rel, alg, rec)
-	}
-	res := &Result{PerRule: make(map[string]int)}
-	rows := make([]schema.Tuple, n)
-	copy(rows, rel.Rows())
-	codes := r.getCodes(n)
-
-	accs := make([]parAcc, workers)
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		wg.Add(1)
-		go func(acc *parAccData) {
-			defer wg.Done()
-			acc.oovBy = make([]int64, r.c.arity)
-			sc := r.getScratch()
-			for {
-				lo := int(cursor.Add(parallelChunk)) - parallelChunk
-				if lo >= n {
-					break
-				}
-				hi := lo + parallelChunk
-				if hi > n {
-					hi = n
-				}
-				r.c.encodeRows(rel, codes, lo, hi, sc)
-				for i := lo; i < hi; i++ {
-					row := codes.Row(i)
-					acc.oov += r.c.countOOVInto(row, acc.oovBy)
-					cloned := false
-					for _, pos := range r.repairEncoded(row, sc, alg) {
-						rule := r.rules[pos]
-						if !cloned {
-							rows[i] = acc.arena.clone(rel.Row(i))
-							cloned = true
-						}
-						if rec != nil {
-							rec.record(i, pos, rule, rows[i][rule.TargetIndex()])
-						}
-						rows[i][rule.TargetIndex()] = rule.Fact()
-						acc.steps = append(acc.steps, rowStep{row: int32(i), pos: pos})
-					}
-				}
-			}
-			r.putScratch(sc)
-		}(&accs[wi].parAccData)
-	}
-	wg.Wait()
-	r.putCodes(codes)
-
-	var all []rowStep
-	oovAcc := make([]int64, r.c.arity)
-	for wi := range accs {
-		res.OOV += accs[wi].oov
-		for a, v := range accs[wi].oovBy {
-			oovAcc[a] += v
-		}
-		all = append(all, accs[wi].steps...)
-	}
-	// Each worker's steps are already row-ordered (chunks are claimed in
-	// ascending order); the stable sort interleaves the workers back into
-	// global row order while preserving within-row application order.
-	sort.SliceStable(all, func(i, j int) bool { return all[i].row < all[j].row })
-	for _, s := range all {
-		rule := r.rules[s.pos]
-		res.Steps++
-		res.PerRule[rule.Name()]++
-		res.Changed = append(res.Changed, schema.Cell{Row: int(s.row), Attr: rule.Target()})
-	}
-	res.OOVByAttr = r.oovByAttr(oovAcc)
-	res.Relation = schema.FromRows(rel.Schema(), rows)
-	return res
 }

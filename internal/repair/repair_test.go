@@ -130,6 +130,18 @@ func TestRepairRelation(t *testing.T) {
 	}
 }
 
+// TestRepairRelationOneOptions: RepairRelation takes at most one
+// RelationOptions; a second is a caller bug and panics rather than being
+// silently ignored.
+func TestRepairRelationOneOptions(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RepairRelation with two RelationOptions did not panic")
+		}
+	}()
+	NewRepairer(paperRuleset()).RepairRelation(fig1Relation(), Linear, RelationOptions{}, RelationOptions{Workers: 2})
+}
+
 func TestRepairRelationParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	r := NewRepairer(paperRuleset())
@@ -146,7 +158,7 @@ func TestRepairRelationParallelMatchesSequential(t *testing.T) {
 	}
 	seq := r.RepairRelation(rel, Linear)
 	for _, workers := range []int{0, 1, 3, 16} {
-		par := r.RepairRelationParallel(rel, Linear, workers)
+		par := r.RepairRelation(rel, Linear, RelationOptions{Workers: workers})
 		if len(schema.Diff(seq.Relation, par.Relation)) != 0 {
 			t.Fatalf("workers=%d: parallel result differs", workers)
 		}

@@ -92,8 +92,8 @@ func TestOOVCountersAgree(t *testing.T) {
 	if got := r.RepairRelation(rel, Linear).OOV; got != want {
 		t.Errorf("RepairRelation OOV = %d, want %d", got, want)
 	}
-	if got := r.RepairRelationParallel(rel, Linear, 3).OOV; got != want {
-		t.Errorf("RepairRelationParallel OOV = %d, want %d", got, want)
+	if got := r.RepairRelation(rel, Linear, RelationOptions{Workers: 3}).OOV; got != want {
+		t.Errorf("RepairRelation with 3 workers: OOV = %d, want %d", got, want)
 	}
 	var csvIn strings.Builder
 	csvIn.WriteString("name,country,capital,city,conf\n")

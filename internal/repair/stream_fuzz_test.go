@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"reflect"
 	"testing"
 
 	"fixrule/internal/core"
+	"fixrule/internal/repairlog"
 	"fixrule/internal/schema"
+	"fixrule/internal/store"
 )
 
 // fuzzRuleset is a small consistent Σ over R(a, b, c, d) that exercises
@@ -28,77 +31,193 @@ func fuzzRuleset() *core.Ruleset {
 
 var utf8BOM = []byte{0xEF, 0xBB, 0xBF}
 
-// referenceStream is the stream oracle: the in-memory path over the same
-// bytes — strip a BOM, schema.ReadCSV, RepairRelationRecorded,
-// schema.WriteCSV — with its Result folded into StreamStats.
-func referenceStream(rp *Repairer, in []byte, alg Algorithm, rec *ChaseRecorder) ([]byte, *StreamStats, error) {
+// referenceStream is the oracle, which shares no code with the chunk
+// pipeline: strip a BOM, schema.ReadCSV, chase every row with core.Fix
+// (the string-level reference semantics), schema.WriteCSV. OOV comes from
+// OOVCellsByAttr. rec, when non-nil, records core.Fix's steps. By Theorem
+// 1 the bytes, Rows, Repaired, Steps and OOV are those of either
+// algorithm. PerRule and the recorder log follow core.Fix's order, which
+// restarts from the first live rule after each application. The compiled
+// cRepair finishes its pass instead, which on fuzzRuleset gives the same
+// order (a rule there only enables later rules, or is the last); lRepair's
+// order may differ.
+func referenceStream(rp *Repairer, in []byte, rec *ChaseRecorder) ([]byte, *StreamStats, error) {
 	rel, err := schema.ReadCSV(bytes.NewReader(bytes.TrimPrefix(in, utf8BOM)), rp.Ruleset().Schema())
 	if err != nil {
 		return nil, nil, err
 	}
-	res := rp.RepairRelationRecorded(rel, alg, rec)
-	var out bytes.Buffer
-	if err := schema.WriteCSV(&out, res.Relation); err != nil {
-		return nil, nil, err
+	pos := make(map[*core.Rule]int32, len(rp.rules))
+	for i, rule := range rp.rules {
+		pos[rule] = int32(i)
 	}
-	stats := &StreamStats{Rows: rel.Len(), Steps: res.Steps, OOV: res.OOV, OOVByAttr: res.OOVByAttr, PerRule: res.PerRule}
-	for i, c := range res.Changed {
-		if i == 0 || res.Changed[i-1].Row != c.Row {
+	stats := &StreamStats{Rows: rel.Len(), PerRule: make(map[string]int)}
+	oovBy := make([]int64, rel.Schema().Arity())
+	rows := make([]schema.Tuple, rel.Len())
+	for i, t := range rel.Rows() {
+		stats.OOV += rp.OOVCellsByAttr(t, oovBy)
+		fixed, steps, _ := core.Fix(rp.rules, t)
+		rows[i] = fixed
+		if len(steps) > 0 {
 			stats.Repaired++
 		}
+		for _, s := range steps {
+			stats.Steps++
+			stats.PerRule[s.Rule.Name()]++
+			if rec != nil {
+				rec.record(i, pos[s.Rule], s.Rule, s.From)
+			}
+		}
+	}
+	stats.OOVByAttr = rp.oovByAttr(oovBy)
+	var out bytes.Buffer
+	if err := schema.WriteCSV(&out, schema.FromRows(rel.Schema(), rows)); err != nil {
+		return nil, nil, err
 	}
 	return out.Bytes(), stats, nil
 }
 
 // streamConfigs is the worker × chunk-size matrix every stream must agree
-// across: the sequential loop, an even and an oversubscribed pool, and
-// chunks of one row, an odd size, and the default.
+// across: the sequential loop, an even and an oversubscribed pool; CSV
+// output at chunks of one row, an odd size and the default, and fcol
+// output at one row and the default.
 func streamConfigs() []StreamOptions {
 	var opts []StreamOptions
 	for _, workers := range []int{1, 2, 4} {
 		for _, chunkRows := range []int{1, 3, 0} {
 			opts = append(opts, StreamOptions{Workers: workers, ChunkRows: chunkRows})
 		}
+		for _, chunkRows := range []int{1, 0} {
+			opts = append(opts, StreamOptions{Out: Fcol, Workers: workers, ChunkRows: chunkRows})
+		}
 	}
 	return opts
 }
 
-// checkStreamMatchesReference requires Stream, in every configuration, to
-// agree with the oracle on in: identical bytes, statistics and recorder
-// log, and an error exactly when the oracle errors.
+// repairSubject is one engine configuration under test: it repairs in
+// (recording into rec) and returns the repaired relation rendered as CSV,
+// so every subject compares with the oracle's bytes.
+type repairSubject struct {
+	name string
+	run  func(in []byte, rec *ChaseRecorder) ([]byte, *StreamStats, error)
+}
+
+// repairSubjects lists RepairRelation at workers {1, 2, 4}, then Stream in
+// every configuration. An fcol output is decoded with the chunk scanner
+// and rendered as CSV.
+func repairSubjects(rp *Repairer, alg Algorithm, configs []StreamOptions) []repairSubject {
+	var subjects []repairSubject
+	for _, workers := range []int{1, 2, 4} {
+		subjects = append(subjects, repairSubject{
+			name: fmt.Sprintf("%v RepairRelation workers=%d", alg, workers),
+			run: func(in []byte, rec *ChaseRecorder) ([]byte, *StreamStats, error) {
+				rel, err := schema.ReadCSV(bytes.NewReader(bytes.TrimPrefix(in, utf8BOM)), rp.Ruleset().Schema())
+				if err != nil {
+					return nil, nil, err
+				}
+				res := rp.RepairRelation(rel, alg, RelationOptions{Workers: workers, Recorder: rec})
+				var out bytes.Buffer
+				err = schema.WriteCSV(&out, res.Relation)
+				return out.Bytes(), &res.StreamStats, err
+			},
+		})
+	}
+	for _, opts := range configs {
+		subjects = append(subjects, repairSubject{
+			name: fmt.Sprintf("%v Stream out=%v workers=%d chunk=%d", alg, opts.Out, opts.Workers, opts.ChunkRows),
+			run: func(in []byte, rec *ChaseRecorder) ([]byte, *StreamStats, error) {
+				opts.Recorder = rec
+				var out bytes.Buffer
+				stats, err := rp.Stream(context.Background(), bytes.NewReader(in), &out, alg, opts)
+				if err != nil || opts.Out == CSV {
+					return out.Bytes(), stats, err
+				}
+				rel, err := decodeFcol(out.Bytes())
+				if err != nil {
+					return nil, nil, fmt.Errorf("decoding the fcol output: %w", err)
+				}
+				var csvOut bytes.Buffer
+				err = schema.WriteCSV(&csvOut, rel)
+				return csvOut.Bytes(), stats, err
+			},
+		})
+	}
+	return subjects
+}
+
+// decodeFcol reads an fcol stream back into a relation, frame by frame.
+func decodeFcol(b []byte) (*schema.Relation, error) {
+	sc, err := store.NewChunkScanner(bytes.NewReader(b))
+	if err != nil {
+		return nil, err
+	}
+	rel := schema.NewRelation(sc.Schema())
+	var c store.ColChunk
+	for {
+		n, err := sc.ReadChunk(&c)
+		if err == io.EOF {
+			return rel, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		for i := 0; i < n; i++ {
+			t := make(schema.Tuple, sc.Schema().Arity())
+			for a := range t {
+				t[a] = c.Value(i, a)
+			}
+			rel.Append(t)
+		}
+	}
+}
+
+// checkStreamMatchesReference requires every subject to agree with the
+// oracle on in: identical bytes, Rows, Repaired, Steps and OOV, and an
+// error exactly when the oracle errors. cRepair must also reproduce the
+// oracle's PerRule and recorder log (see referenceStream); lRepair's must
+// agree across all subjects.
 func checkStreamMatchesReference(t *testing.T, rp *Repairer, in []byte, configs []StreamOptions) {
 	t.Helper()
 	for _, alg := range []Algorithm{Linear, Chase} {
 		wantRec := NewChaseRecorder(-1, 1, 0)
-		want, wantStats, wantErr := referenceStream(rp, in, alg, wantRec)
-		for _, opts := range configs {
-			name := fmt.Sprintf("%v workers=%d chunk=%d", alg, opts.Workers, opts.ChunkRows)
+		want, wantStats, wantErr := referenceStream(rp, in, wantRec)
+		var wantPerRule map[string]int
+		var wantLog []repairlog.Entry
+		if wantErr == nil && alg == Chase {
+			wantPerRule, wantLog = wantStats.PerRule, wantRec.Log()
+		}
+		for _, sub := range repairSubjects(rp, alg, configs) {
 			rec := NewChaseRecorder(-1, 1, 0)
-			opts.Recorder = rec
-			var got bytes.Buffer
-			stats, err := rp.Stream(context.Background(), bytes.NewReader(in), &got, alg, opts)
+			got, stats, err := sub.run(in, rec)
 			if (err != nil) != (wantErr != nil) {
-				t.Fatalf("%s: stream err = %v, reference err = %v\ninput %q", name, err, wantErr, in)
+				t.Fatalf("%s: err = %v, reference err = %v\ninput %q", sub.name, err, wantErr, in)
 			}
 			if err != nil {
 				continue
 			}
-			if !bytes.Equal(got.Bytes(), want) {
-				t.Fatalf("%s: output differs from reference\ninput %q\n got %q\nwant %q", name, in, got.Bytes(), want)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: output differs from reference\ninput %q\n got %q\nwant %q", sub.name, in, got, want)
 			}
-			if !reflect.DeepEqual(stats, wantStats) {
-				t.Fatalf("%s: stats = %+v, reference %+v\ninput %q", name, stats, wantStats, in)
+			if stats.Rows != wantStats.Rows || stats.Repaired != wantStats.Repaired || stats.Steps != wantStats.Steps ||
+				stats.OOV != wantStats.OOV || !reflect.DeepEqual(stats.OOVByAttr, wantStats.OOVByAttr) {
+				t.Fatalf("%s: stats = %+v, reference %+v\ninput %q", sub.name, stats, wantStats, in)
 			}
-			if !reflect.DeepEqual(rec.Log(), wantRec.Log()) {
-				t.Fatalf("%s: recorder log = %v, reference %v\ninput %q", name, rec.Log(), wantRec.Log(), in)
+			if wantPerRule == nil {
+				wantPerRule, wantLog = stats.PerRule, rec.Log()
+			}
+			if !reflect.DeepEqual(stats.PerRule, wantPerRule) {
+				t.Fatalf("%s: PerRule = %v, reference %v\ninput %q", sub.name, stats.PerRule, wantPerRule, in)
+			}
+			if !reflect.DeepEqual(rec.Log(), wantLog) {
+				t.Fatalf("%s: recorder log = %v, reference %v\ninput %q", sub.name, rec.Log(), wantLog, in)
 			}
 		}
 	}
 }
 
-// FuzzStreamMatchesReference is the stream engines' differential target:
-// on arbitrary CSV bytes, Stream at every worker count and chunk size must
-// reproduce the in-memory reference repair exactly.
+// FuzzStreamMatchesReference is the repair engines' differential target:
+// on arbitrary CSV bytes, RepairRelation at every worker count and Stream
+// at every output format, worker count and chunk size must reproduce the
+// core.Fix oracle exactly.
 func FuzzStreamMatchesReference(f *testing.F) {
 	for _, seed := range []string{
 		"\xEF\xBB\xBFa,b,c,d\nx,y,p,k\n",                          // BOM

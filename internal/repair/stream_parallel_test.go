@@ -71,7 +71,7 @@ func TestStreamCSVParallelByteIdentical(t *testing.T) {
 	r := NewRepairer(paperRuleset())
 	in := relationCSV(t, skewedRelation(4000))
 
-	want, wantStats, err := referenceStream(r, in, Linear, nil)
+	want, wantStats, err := referenceStream(r, in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,15 +104,15 @@ func TestStreamCSVParallelByteIdentical(t *testing.T) {
 	}
 }
 
-// TestRepairRelationParallelSkewed: the chunked scheduler reproduces the
+// TestRepairRelationWorkersSkewed: the chunk pipeline reproduces the
 // sequential Result exactly on the skewed relation for every worker count,
 // including Changed order and PerRule counts.
-func TestRepairRelationParallelSkewed(t *testing.T) {
+func TestRepairRelationWorkersSkewed(t *testing.T) {
 	r := NewRepairer(paperRuleset())
 	rel := skewedRelation(4000)
 	seq := r.RepairRelation(rel, Linear)
 	for _, workers := range workerCounts() {
-		par := r.RepairRelationParallel(rel, Linear, workers)
+		par := r.RepairRelation(rel, Linear, RelationOptions{Workers: workers})
 		if len(schema.Diff(seq.Relation, par.Relation)) != 0 {
 			t.Fatalf("workers=%d: repaired relation differs", workers)
 		}
@@ -128,8 +128,31 @@ func TestRepairRelationParallelSkewed(t *testing.T) {
 	}
 }
 
-// TestParallelSharedRepairerRace drives Stream and
-// RepairRelationParallel concurrently against one shared Repairer — the
+// TestRepairRelationChangedMatchesTupleRepairs: Result.Changed lists, in
+// row then application order, exactly the cells RepairTuple changes row by
+// row, on a relation of many pipeline units and at any worker count.
+func TestRepairRelationChangedMatchesTupleRepairs(t *testing.T) {
+	r := NewRepairer(paperRuleset())
+	rel := skewedRelation(4000)
+	for _, alg := range []Algorithm{Linear, Chase} {
+		var want []schema.Cell
+		for i, tup := range rel.Rows() {
+			_, steps := r.RepairTuple(tup, alg)
+			for _, s := range steps {
+				want = append(want, schema.Cell{Row: i, Attr: s.Attr})
+			}
+		}
+		for _, workers := range []int{1, 3} {
+			res := r.RepairRelation(rel, alg, RelationOptions{Workers: workers})
+			if !reflect.DeepEqual(res.Changed, want) {
+				t.Errorf("%v workers=%d: Changed differs from the per-tuple repairs", alg, workers)
+			}
+		}
+	}
+}
+
+// TestParallelSharedRepairerRace drives Stream and a parallel
+// RepairRelation concurrently against one shared Repairer — the
 // scratch pool, dictionaries and inverted lists are shared state — and
 // checks every interleaving still produces the sequential answer. Run
 // under -race in CI.
@@ -138,7 +161,7 @@ func TestParallelSharedRepairerRace(t *testing.T) {
 	rel := skewedRelation(2000)
 	in := relationCSV(t, rel)
 
-	seqOut, seqStats, err := referenceStream(r, in, Linear, nil)
+	seqOut, seqStats, err := referenceStream(r, in, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +188,7 @@ func TestParallelSharedRepairerRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res := r.RepairRelationParallel(rel, Linear, workers)
+			res := r.RepairRelation(rel, Linear, RelationOptions{Workers: workers})
 			switch {
 			case len(schema.Diff(seqRes.Relation, res.Relation)) != 0:
 				errc <- fmt.Errorf("relation workers=%d: rows differ", workers)

@@ -141,6 +141,14 @@ func NewRelation(s *Schema) *Relation {
 	return &Relation{schema: s}
 }
 
+// FromRows returns a relation over s that adopts rows as its backing slice
+// without copying; the caller hands over ownership. Builders that assemble
+// rows themselves (e.g. copy-on-write repair output, where unchanged tuples
+// are shared with the source relation) use this to skip the per-row append.
+func FromRows(s *Schema, rows []Tuple) *Relation {
+	return &Relation{schema: s, rows: rows}
+}
+
 // Schema returns the relation schema.
 func (r *Relation) Schema() *Schema { return r.schema }
 

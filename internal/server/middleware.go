@@ -494,7 +494,11 @@ func (s *Server) serveScope(c *reqCtx, r *http.Request, sc *scope, limited bool,
 	}
 	r = r.WithContext(trace.ContextWithSpan(ctx, c.root))
 	if sc != nil && r.Method == http.MethodPost {
-		r.Body = http.MaxBytesReader(c.sw, r.Body, sc.maxBody)
+		// The limit goes on net/http's own writer, not the statusWriter:
+		// only that one tells the server a limit was hit, so the 413
+		// closes the connection instead of keeping it alive over unread
+		// body bytes.
+		r.Body = http.MaxBytesReader(c.sw.ResponseWriter, r.Body, sc.maxBody)
 	}
 	h(c.sw, r, eng)
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"io"
+	"log"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -116,9 +117,17 @@ func TestVersionHeaders(t *testing.T) {
 }
 
 // TestBodyTooLarge: an over-limit body is refused with 413 and the
-// body_too_large code on both repair endpoints.
+// body_too_large code on both repair endpoints, and the 413 closes the
+// connection. Kept alive, the connection would still hold the unread body
+// bytes, and net/http would log a recovered "invalid concurrent Body.Read
+// call" panic.
 func TestBodyTooLarge(t *testing.T) {
-	_, srv := newOpsServer(t, Config{MaxBodyBytes: 64})
+	s, _ := newOpsServer(t, Config{MaxBodyBytes: 64})
+	var errLog syncBuffer
+	srv := httptest.NewUnstartedServer(s)
+	srv.Config.ErrorLog = log.New(&errLog, "", 0)
+	srv.Start()
+	defer srv.Close()
 	big := `{"tuples": [["` + strings.Repeat("x", 200) + `","a","b","c","d"]]}`
 	resp, err := http.Post(srv.URL+"/repair", "application/json", strings.NewReader(big))
 	if err != nil {
@@ -126,6 +135,10 @@ func TestBodyTooLarge(t *testing.T) {
 	}
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("/repair status = %d, want 413", resp.StatusCode)
+	}
+	// The client strips a "Connection: close" header into resp.Close.
+	if !resp.Close {
+		t.Error("/repair 413 does not carry Connection: close")
 	}
 	if code := decodeEnvelope(t, resp); code != codeBodyTooLarge {
 		t.Errorf("code = %q", code)
@@ -135,10 +148,17 @@ func TestBodyTooLarge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !resp.Close {
+		t.Error("/repair/csv 413 does not carry Connection: close")
+	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if !strings.Contains(string(body), codeBodyTooLarge) {
 		t.Errorf("csv over-limit body = %q, want %s envelope", body, codeBodyTooLarge)
+	}
+	srv.Close() // waits for every connection, so the log is complete
+	if strings.Contains(errLog.String(), "panic serving") {
+		t.Errorf("server logged a panic:\n%s", errLog.String())
 	}
 }
 

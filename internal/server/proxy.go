@@ -321,7 +321,9 @@ func (p *Proxy) handleForward(w http.ResponseWriter, r *http.Request) {
 					strconv.FormatInt(p.cfg.MaxBodyBytes, 10)+" bytes")
 			return
 		}
-		body = http.MaxBytesReader(sw, r.Body, p.cfg.MaxBodyBytes)
+		// net/http's own writer, as in the server middleware: a 413 then
+		// closes the connection.
+		body = http.MaxBytesReader(sw.ResponseWriter, r.Body, p.cfg.MaxBodyBytes)
 	}
 	// Bound the forward without bounding stream bodies. Non-streaming
 	// endpoints get an end-to-end deadline; the CSV stream endpoint gets a

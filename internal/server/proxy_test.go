@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -402,7 +403,10 @@ func TestProxyBodyTooLarge(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	front := httptest.NewServer(p)
+	var errLog syncBuffer
+	front := httptest.NewUnstartedServer(p)
+	front.Config.ErrorLog = log.New(&errLog, "", 0)
+	front.Start()
 	defer front.Close()
 
 	upstreamErrors := func() int64 {
@@ -431,6 +435,12 @@ func TestProxyBodyTooLarge(t *testing.T) {
 		if err != nil {
 			t.Fatalf("declared=%v: %v", declared, err)
 		}
+		// A tripped limit closes the connection; the client strips the
+		// "Connection: close" header into resp.Close. A declared overrun
+		// is refused before the body is read, and net/http may drain it.
+		if !declared && !resp.Close {
+			t.Error("chunked: 413 does not carry Connection: close")
+		}
 		if code := decodeEnvelope(t, resp); resp.StatusCode != 413 || code != codeBodyTooLarge {
 			t.Errorf("declared=%v oversized body = %d %s, want 413 %s",
 				declared, resp.StatusCode, code, codeBodyTooLarge)
@@ -440,12 +450,36 @@ func TestProxyBodyTooLarge(t *testing.T) {
 		}
 	}
 
+	// A chunked CSV stream upload over the limit. Under 512 rows, so the
+	// worker waits for the whole body before it answers and the limit
+	// trips first.
+	csvBody := "name,country,capital,city,conf\n" + strings.Repeat("a,b,c,d,e\n", 300)
+	req, err := http.NewRequest(http.MethodPost, front.URL+"/t/acme/repair/csv", io.MultiReader(strings.NewReader(csvBody)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "text/csv")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resp.Close {
+		t.Error("chunked CSV: 413 does not carry Connection: close")
+	}
+	if code := decodeEnvelope(t, resp); resp.StatusCode != 413 || code != codeBodyTooLarge {
+		t.Errorf("chunked oversized CSV = %d %s, want 413 %s", resp.StatusCode, code, codeBodyTooLarge)
+	}
+
 	// A body within the limit still forwards.
-	resp := postJSON(t, front.URL+"/t/acme/repair", ianTuple)
+	resp = postJSON(t, front.URL+"/t/acme/repair", ianTuple)
 	if resp.StatusCode != 200 {
 		t.Errorf("in-limit body via limited proxy = %d %s", resp.StatusCode, readBody(t, resp))
 	} else {
 		readBody(t, resp)
+	}
+	front.Close() // waits for every connection, so the log is complete
+	if strings.Contains(errLog.String(), "panic serving") {
+		t.Errorf("proxy logged a panic:\n%s", errLog.String())
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 )
 
 // TestParallelRepairNotSlower is the regression tripwire for the scaling
-// bug this repo shipped once: RepairRelationParallel used to run 0.94× the
+// bug this repo shipped once: the parallel relation repair used to run 0.94× the
 // sequential rate on the hosp bench because of stripe scheduling, false
 // sharing, and per-row cloning. It measures both paths with
 // testing.Benchmark on the real hosp workload and fails with an
@@ -46,7 +46,7 @@ func TestParallelRepairNotSlower(t *testing.T) {
 	})
 	par := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			rep.RepairRelationParallel(w.dirty, repair.Linear, 0)
+			rep.RepairRelation(w.dirty, repair.Linear, repair.RelationOptions{Workers: runtime.GOMAXPROCS(0)})
 		}
 	})
 	seqNs, parNs := seq.NsPerOp(), par.NsPerOp()
@@ -56,9 +56,9 @@ func TestParallelRepairNotSlower(t *testing.T) {
 	// 0.90 leaves headroom for scheduler noise on loaded CI machines; a
 	// genuine regression of the kind this guards against lands far below.
 	if speedup < 0.90 {
-		t.Errorf("PARALLEL REPAIR REGRESSION: RepairRelationParallel is %.2fx the sequential rate "+
+		t.Errorf("PARALLEL REPAIR REGRESSION: RepairRelation with GOMAXPROCS workers is %.2fx the sequential rate "+
 			"(sequential %d ns/op vs parallel %d ns/op at GOMAXPROCS=%d) — parallel must not be slower "+
-			"than sequential; see docs/ALGORITHMS.md for the chunked-scheduler design",
+			"than sequential; see docs/ALGORITHMS.md for the chunk-pipeline design",
 			speedup, seqNs, parNs, runtime.GOMAXPROCS(0))
 	}
 }
